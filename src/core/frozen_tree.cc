@@ -1,11 +1,10 @@
 #include "core/frozen_tree.h"
 
 #include <algorithm>
-#include <cstdlib>
 
 #if defined(__x86_64__) && !defined(GORDIAN_DISABLE_SIMD) && \
     (defined(__GNUC__) || defined(__clang__))
-#define GORDIAN_FROZEN_SIMD_X86 1
+#define GORDIAN_SIMD_X86 1
 #include <immintrin.h>
 #endif
 
@@ -25,7 +24,7 @@ size_t LowerBoundScalar(const uint32_t* codes, size_t n, uint32_t target) {
                              codes);
 }
 
-#ifdef GORDIAN_FROZEN_SIMD_X86
+#ifdef GORDIAN_SIMD_X86
 
 __attribute__((target("avx2"))) static bool AnyCountNotOneAvx2(
     const int64_t* counts, size_t n) {
@@ -78,7 +77,7 @@ __attribute__((target("avx2"))) static size_t LowerBoundAvx2(
   return hi;
 }
 
-#endif  // GORDIAN_FROZEN_SIMD_X86
+#endif  // GORDIAN_SIMD_X86
 
 namespace {
 
@@ -86,7 +85,7 @@ using AnyCountFn = bool (*)(const int64_t*, size_t);
 using LowerBoundFn = size_t (*)(const uint32_t*, size_t, uint32_t);
 
 bool HaveAvx2() {
-#ifdef GORDIAN_FROZEN_SIMD_X86
+#ifdef GORDIAN_SIMD_X86
   static const bool have = __builtin_cpu_supports("avx2");
   return have;
 #else
@@ -95,14 +94,14 @@ bool HaveAvx2() {
 }
 
 AnyCountFn ResolveAnyCount() {
-#ifdef GORDIAN_FROZEN_SIMD_X86
+#ifdef GORDIAN_SIMD_X86
   if (HaveAvx2()) return &AnyCountNotOneAvx2;
 #endif
   return &AnyCountNotOneScalar;
 }
 
 LowerBoundFn ResolveLowerBound() {
-#ifdef GORDIAN_FROZEN_SIMD_X86
+#ifdef GORDIAN_SIMD_X86
   if (HaveAvx2()) return &LowerBoundAvx2;
 #endif
   return &LowerBoundScalar;
@@ -133,14 +132,6 @@ size_t LowerBound(const uint32_t* codes, size_t n, uint32_t target) {
 const char* ActiveKernel() { return HaveAvx2() ? "avx2" : "scalar"; }
 
 }  // namespace frozen_simd
-
-bool FrozenTreesEnabled() {
-  static const bool enabled = [] {
-    const char* s = std::getenv("GORDIAN_FROZEN");
-    return s == nullptr || *s == '\0' || std::atoi(s) != 0;
-  }();
-  return enabled;
-}
 
 std::unique_ptr<FrozenTree> FrozenTree::Freeze(const PrefixTree& tree) {
   std::unique_ptr<FrozenTree> out(new FrozenTree());
@@ -196,6 +187,12 @@ std::unique_ptr<FrozenTree> FrozenTree::Freeze(const PrefixTree& tree) {
   assert(out->node_count_ == tree.node_count());
   assert(out->cell_count_ == tree.cell_count());
   return out;
+}
+
+bool FrozenTree::HasDuplicateEntities() const {
+  if (levels_.empty()) return false;
+  const Level& leaf = levels_.back();
+  return frozen_simd::AnyCountNotOne(leaf.count.data(), leaf.count.size());
 }
 
 bool FrozenTree::AllRefsAreOne() const {

@@ -11,7 +11,6 @@
 
 #include "common/attribute_set.h"
 #include "common/stopwatch.h"
-#include "core/non_key_finder.h"
 #include "core/non_key_set.h"
 #include "core/options.h"
 #include "core/prefix_tree.h"
@@ -43,10 +42,29 @@ const char* ActiveKernel();
 
 }  // namespace frozen_simd
 
-// Process-wide escape hatch for the frozen traversal: false when the
-// GORDIAN_FROZEN environment variable is set to 0 (read once, like
-// GORDIAN_THREADS). GordianOptions::frozen_traversal gates per run on top.
-bool FrozenTreesEnabled();
+// Observation hooks into the traversal, for debugging, tracing, and the
+// specification tests that pin the paper's Figure 9 processing order. All
+// callbacks default to no-ops; the finders never depend on them.
+// FrozenNonKeyFinder and the reference NonKeyFinder fire the same sequence.
+class TraversalObserver {
+ public:
+  virtual ~TraversalObserver() = default;
+
+  // A segment (candidate non-key) of the current slice was examined at the
+  // leaf level — the unit of work Figure 9 orders.
+  virtual void OnSegment(const AttributeSet& /*segment*/) {}
+
+  // A non-key was handed to the NonKeySet (it may still be rejected there
+  // as redundant).
+  virtual void OnNonKey(const AttributeSet& /*non_key*/) {}
+
+  // A merge produced the tree for the next projection at `level`.
+  virtual void OnMerge(int /*level*/) {}
+
+  // A pruning rule fired: "singleton", "singleton-merge", "single-entity",
+  // or "futility".
+  virtual void OnPrune(const char* /*kind*/, int /*level*/) {}
+};
 
 // A read-only flattening of a built PrefixTree for the traversal hot path:
 // per level, one contiguous sorted code span per node instead of per-node
@@ -110,6 +128,10 @@ class FrozenTree {
                                   static_cast<double>(node_count_);
   }
 
+  // True iff some entity occurs more than once (Algorithm 2, lines 17-18:
+  // then no key exists) — exactly when a leaf cell count differs from 1.
+  bool HasDuplicateEntities() const;
+
   // True iff every node's reference count is back at 1 (test hook: aborted
   // traversals must fully unwind their shares).
   bool AllRefsAreOne() const;
@@ -125,20 +147,32 @@ class FrozenTree {
   int64_t approx_bytes_ = 0;
 };
 
-// Algorithm 4 specialized for the frozen representation: the same
-// doubly-recursive traversal as NonKeyFinder — identical visit order,
-// pruning decisions, counters, observer callbacks, and budget semantics —
-// but Visit runs over contiguous code spans, the leaf duplicate test is a
-// SIMD scan, and the 2-way merge (the dominant shape inside merge
-// recursions) is a branch-light galloping span union. Merge outputs are
-// ordinary NodePool nodes whose Cell::child fields hold either a pool node
-// or a tagged reference to a frozen node (bit 0 set — real node pointers
-// are always even), so merge intermediates share untouched frozen subtrees
-// exactly as pointer-mode merges share subtrees of the base tree.
+// Algorithm 4 over the frozen representation — the production non-key
+// search. The doubly-recursive depth-first traversal interleaves the
+// (virtual) cube computation with non-key discovery: the outer recursion
+// explores slices; after all children of a node are visited, its children
+// are merged (projecting out the node's attribute) and the merged tree is
+// explored recursively — so every segment of every slice is examined, in
+// the order shown in the paper's Figure 9, except where pruning applies.
 //
-// The produced NonKeySet — and therefore every report — is byte-identical
-// to a NonKeyFinder run over the same tree, serial and parallel; the
-// equivalence fuzz in tests/frozen_tree_test.cc pins this.
+// Visit runs over contiguous code spans, the leaf duplicate test is a SIMD
+// scan, and the 2-way merge (the dominant shape inside merge recursions) is
+// a branch-light galloping span union. Merge outputs are ordinary NodePool
+// nodes whose Cell::child fields hold either a pool node or a tagged
+// reference to a frozen node (bit 0 set — real node pointers are always
+// even), so merge intermediates share untouched frozen subtrees exactly as
+// pointer merges share subtrees of a base tree.
+//
+// Visit order, pruning decisions, counters, observer callbacks, and budget
+// semantics are identical to the reference NonKeyFinder
+// (core/non_key_finder.h) over the same tree; tests/frozen_tree_test.cc and
+// tests/traversal_order_test.cc pin this.
+//
+// Run() is the serial entry point. For the parallel traversal
+// (docs/parallel.md) each worker owns a private finder and drives it
+// through RunSlice / RunRootMerge instead; the Set* hooks wire the worker
+// into the shared machinery (merge-node pool, stop flag, futility
+// snapshots). A finder is never shared across threads.
 class FrozenNonKeyFinder {
  public:
   // Merge intermediates are allocated from the pool passed via
@@ -149,22 +183,67 @@ class FrozenNonKeyFinder {
                      NonKeySet* non_keys, GordianStats* stats,
                      TraversalObserver* observer = nullptr);
 
-  // The entry points and parallel hooks mirror NonKeyFinder verbatim; see
-  // core/non_key_finder.h for their contracts.
+  // Runs the traversal, populating the NonKeySet passed at construction.
+  // Returns false if a budget (options.max_non_keys /
+  // options.time_budget_seconds) tripped or options.cancel_flag was raised
+  // and the traversal stopped early; abort_reason() then says which.
   bool Run();
+
+  // Why the traversal stopped early, or kNone after a complete run. An
+  // external stop (SetExternalStop) aborts with kNone — the reason belongs
+  // to whichever worker tripped it, and the parallel driver resolves it.
   AbortReason abort_reason() const { return abort_reason_; }
 
+  // --- parallel-traversal entry points -----------------------------------
+
+  // Replays the slice body of Visit(root, 0) for exactly one top-level cell:
+  // appends the root attribute to the candidate non-key, visits (or
+  // singleton-prunes) the cell's subtree, removes the attribute again.
+  // Requires >= 2 levels. Returns false once the finder has aborted.
   bool RunSlice(int cell_index);
+
+  // Replays the post-children tail of Visit(root, 0): singleton-merge /
+  // futility checks, then the merge of all top-level subtrees (projecting
+  // out the root attribute) and the recursive exploration of the merged
+  // tree. Run serially, after every slice of every worker has finished,
+  // against the union NonKeySet. Returns false once aborted.
   bool RunRootMerge();
+
+  // Starts the budget clock with time already spent elsewhere in the find
+  // phase (a worker picking up its first slice late must charge the wait
+  // against options.time_budget_seconds). Run() resets the offset to zero;
+  // callers of RunSlice/RunRootMerge invoke this once instead.
   void StartBudgetClock(double offset_seconds);
+
+  // Merge intermediates are allocated from `pool`. Workers traverse
+  // disjoint subtrees but must not share an allocator; each passes its
+  // private pool here.
   void SetMergePool(PrefixTree::NodePool* pool) { merge_pool_ = pool; }
+
+  // When `stop` becomes true the finder unwinds exactly like a cancellation
+  // but leaves abort_reason() at kNone (see above).
   void SetExternalStop(const std::atomic<bool>* stop) { external_stop_ = stop; }
+
+  // `cover` is consulted by the futility test after the local NonKeySet
+  // fails to cover the probe; returning true prunes and is counted under
+  // futility_snapshot_prunes. Used to test against other workers' published
+  // snapshots. Must be cheap-ish: it runs on the traversal hot path.
   void SetRemoteCover(std::function<bool(const AttributeSet&)> cover) {
     remote_cover_ = std::move(cover);
   }
+
+  // Invoked once every 4096 visits (the same amortization as the wall-clock
+  // budget check). Workers use it to publish their local non-keys and to
+  // refresh their view of the snapshot board.
   void SetMaintenanceHook(std::function<void()> hook) {
     maintenance_ = std::move(hook);
   }
+
+  // Warm-start cover (options.warm_start_non_keys materialized as a
+  // NonKeySet): consulted by the futility test before the working set, so
+  // prunes earned by the prior run's non-keys are counted under
+  // warm_start_prunes. `warm` is read-only here and may be shared across
+  // workers; it must outlive the traversal.
   void SetWarmCover(const NonKeySet* warm) { warm_cover_ = warm; }
 
  private:

@@ -2,6 +2,7 @@
 
 #include <utility>
 
+#include "common/stopwatch.h"
 #include "core/pipeline.h"
 #include "table/column_chunk.h"
 
@@ -104,7 +105,7 @@ Table AppendState::Snapshot() const {
   return Table::FromColumns(schema_, std::move(dicts), codes_);
 }
 
-Status ReprofileTree(PrefixTree* tree, const GordianOptions& options,
+Status ReprofileTree(const PrefixTree& tree, const GordianOptions& options,
                      int num_attributes, int64_t num_rows,
                      KeyDiscoveryResult* result,
                      std::unique_ptr<FrozenTree>* refrozen) {
@@ -118,32 +119,20 @@ Status ReprofileTree(PrefixTree* tree, const GordianOptions& options,
         "ReprofileTree: null projection requires the raw table");
   }
   // Hand-seeded context: everything EncodeStage would have produced is
-  // already pinned by the tree (the data lives in it), so the run starts at
-  // the tree-build stage — which, seeing an external tree, only re-checks
-  // duplicates/cancellation and (re-)freezes.
+  // already pinned by the tree (the data lives in it). Any prior frozen
+  // artifact is stale after an absorb, so the tree is refrozen here and
+  // injected; the post-encode stages then skip the build.
   ProfileContext ctx;
   ctx.options = options;
-  ctx.attr_order = tree->attr_order();
-  ctx.tree = tree;
-  ctx.tree_external = true;
+  ctx.attr_order = tree.attr_order();
   ctx.result.stats.num_attributes = num_attributes;
   ctx.result.stats.rows_processed = num_rows;
-
-  std::vector<std::unique_ptr<ProfileStage>> stages;
-  stages.push_back(std::make_unique<TreeBuildStage>());
-  const int threads = ResolveTraversalThreads(options);
-  if (threads >= 1) {
-    stages.push_back(std::make_unique<ParallelTraversalStage>(threads));
-  } else {
-    stages.push_back(std::make_unique<SerialTraversalStage>());
-  }
-  stages.push_back(std::make_unique<KeyConversionStage>());
-  stages.push_back(std::make_unique<ValidationStage>());
-  for (const std::unique_ptr<ProfileStage>& stage : stages) {
-    Status s = stage->Run(&ctx);
-    if (!s.ok()) return s;
-    if (ctx.finished) break;
-  }
+  Stopwatch freeze_watch;
+  ctx.owned_frozen = FrozenTree::Freeze(tree);
+  ctx.frozen = ctx.owned_frozen.get();
+  ctx.result.stats.freeze_seconds = freeze_watch.ElapsedSeconds();
+  std::vector<StageMetric> metrics;
+  RunPostEncode(&ctx, &metrics);
   if (refrozen != nullptr) *refrozen = std::move(ctx.owned_frozen);
   *result = std::move(ctx.result);
   return Status::OK();
@@ -171,7 +160,6 @@ Status IncrementalProfiler::Begin(const Table& base,
   s = session.Run(base, &p.report_);
   if (!s.ok()) return s;
   p.tree_ = session.TakeTree();
-  p.frozen_ = session.TakeFrozenTree();
   if (p.tree_ != nullptr) p.tree_rows_ = base.num_rows();
   p.current_ = !p.report_.incomplete && p.tree_ != nullptr;
   if (p.current_) p.warm_seeds_ = p.report_.non_keys;
@@ -212,7 +200,6 @@ Status IncrementalProfiler::Refresh() {
     const int64_t absorbed =
         tree_->AbsorbBatch(level_codes, pending, options_.cancel_flag);
     tree_rows_ += absorbed;
-    if (absorbed > 0) frozen_.reset();  // the flat layout is now stale
     if (absorbed < pending) {
       // Cancelled mid-absorb. The tree is a valid prefix tree of the rows
       // absorbed so far; report that honestly and let the next Refresh
@@ -227,14 +214,13 @@ Status IncrementalProfiler::Refresh() {
     }
   }
 
-  frozen_.reset();
   GordianOptions opts = options_;
   if (warm_enabled_ && !warm_seeds_.empty()) {
     opts.warm_start_non_keys = &warm_seeds_;
   }
   KeyDiscoveryResult result;
-  Status s = ReprofileTree(tree_.get(), opts, state_.num_columns(),
-                           state_.num_rows(), &result, &frozen_);
+  Status s = ReprofileTree(*tree_, opts, state_.num_columns(),
+                           state_.num_rows(), &result, nullptr);
   if (!s.ok()) return s;
   report_ = std::move(result);
   current_ = !report_.incomplete;
@@ -254,7 +240,6 @@ Status IncrementalProfiler::RebuildFromScratch() {
   Status s = session.Run(snapshot, &report_);
   if (!s.ok()) return s;
   tree_ = session.TakeTree();
-  frozen_ = session.TakeFrozenTree();
   tree_rows_ = tree_ != nullptr ? state_.num_rows() : 0;
   current_ = !report_.incomplete && tree_ != nullptr;
   if (current_) warm_seeds_ = report_.non_keys;

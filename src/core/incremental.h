@@ -32,7 +32,7 @@ namespace gordian {
 //      (FingerprintAccumulator), so catalog/cache keys stay exact.
 // Complete runs produce byte-identical reports to a from-scratch FindKeys
 // on the concatenated table (tests/incremental_test.cc pins this across
-// serial/parallel x frozen/pointer x warm on/off x spilled base tables).
+// serial/parallel x warm on/off x spilled base tables).
 
 // The mutable append-side twin of an immutable Table: private dictionary
 // copies plus growing code vectors, seeded from a base table (spilled
@@ -88,21 +88,19 @@ class AppendState {
 };
 
 // Re-runs the post-encode phases of the profiling pipeline over an
-// already-built (and possibly just-absorbed) tree: duplicate-entity check,
-// optional freeze, traversal (serial or parallel per the resolved thread
-// count), key conversion, validation. The tree is treated as external —
-// merge intermediates come from a private pool — but unlike a cache-hit
-// run there is no Table in sight: the tree IS the data. `num_attributes`
-// is the profiled table's column count (== tree.num_levels()).
+// already-built (and possibly just-absorbed) tree: freeze, duplicate-entity
+// check, traversal (serial or parallel per the resolved thread count), key
+// conversion, validation. The tree itself is only read — the traversal runs
+// over the fresh frozen copy — and there is no Table in sight: the tree IS
+// the data. `num_attributes` is the profiled table's column count
+// (== tree.num_levels()).
 //
-// When the options resolve to frozen traversal, the tree is re-frozen here
-// (any prior frozen artifact is stale after an absorb); the new artifact is
-// returned through *refrozen (nullptr allowed) and the freeze wall clock is
-// recorded in result->stats.freeze_seconds.
+// The frozen artifact is returned through *refrozen (nullptr allowed) and
+// the freeze wall clock is recorded in result->stats.freeze_seconds.
 //
 // `options.sample_rows` must be 0 and null semantics kNullEqualsNull — both
 // need the raw table and are rejected with InvalidArgument.
-Status ReprofileTree(PrefixTree* tree, const GordianOptions& options,
+Status ReprofileTree(const PrefixTree& tree, const GordianOptions& options,
                      int num_attributes, int64_t num_rows,
                      KeyDiscoveryResult* result,
                      std::unique_ptr<FrozenTree>* refrozen);
@@ -188,7 +186,6 @@ class IncrementalProfiler {
   GordianOptions options_;
   AppendState state_;
   std::unique_ptr<PrefixTree> tree_;
-  std::unique_ptr<FrozenTree> frozen_;
   KeyDiscoveryResult report_;
   std::vector<AttributeSet> warm_seeds_;
   int64_t tree_rows_ = 0;

@@ -2,6 +2,10 @@
 
 #include <cassert>
 
+#include "core/key_conversion.h"
+#include "core/pipeline.h"
+#include "core/strength.h"
+
 namespace gordian {
 
 NonKeyFinder::NonKeyFinder(PrefixTree& tree,
@@ -23,83 +27,19 @@ NonKeyFinder::NonKeyFinder(PrefixTree& tree,
 
 bool NonKeyFinder::Run() {
   if (tree_.root() == nullptr || tree_.num_entities() == 0) return true;
-  StartBudgetClock(0);
-  Visit(tree_.root(), 0);
-  return !aborted_;
-}
-
-void NonKeyFinder::StartBudgetClock(double offset_seconds) {
-  budget_offset_seconds_ = offset_seconds;
   budget_watch_.Restart();
-}
-
-bool NonKeyFinder::RunSlice(int cell_index) {
-  PrefixTree::Node* root = tree_.root();
-  assert(root != nullptr && !root->is_leaf);
-  assert(cell_index >= 0 &&
-         cell_index < static_cast<int>(root->cells.size()));
-  if (aborted_) return false;
-  const int attr = tree_.attribute_at_level(0);
-  cur_non_key_.Set(attr);
-  const PrefixTree::Cell& cell = root->cells[cell_index];
-  if (options_.singleton_pruning && cell.child->ref_count > 1) {
-    // Cannot happen in a freshly built base tree (top-level subtrees have a
-    // single parent) but kept for exact parity with the serial loop body.
-    if (stats_ != nullptr) ++stats_->singleton_traversal_prunes;
-    if (observer_ != nullptr) observer_->OnPrune("singleton", 0);
-  } else {
-    Visit(cell.child, 1);
-  }
-  cur_non_key_.Reset(attr);
-  return !aborted_;
-}
-
-bool NonKeyFinder::RunRootMerge() {
-  PrefixTree::Node* root = tree_.root();
-  assert(root != nullptr && !root->is_leaf);
-  if (aborted_) return false;
-  // cur_non_key_ is empty here: the root attribute was projected back out at
-  // the end of every slice, matching line 22 of Algorithm 4.
-  assert(cur_non_key_.Empty());
-  if (root->cells.size() <= 1) {
-    if (root->cells.size() == 1) {
-      if (stats_ != nullptr) ++stats_->singleton_merge_prunes;
-      if (observer_ != nullptr) observer_->OnPrune("singleton-merge", 0);
-    }
-    return !aborted_;
-  }
-  if (options_.futility_pruning && FutilityCovered(suffix_attrs_[1])) {
-    if (stats_ != nullptr) ++stats_->futility_prunes;
-    if (observer_ != nullptr) observer_->OnPrune("futility", 0);
-    return !aborted_;
-  }
-  std::vector<PrefixTree::Node*> children;
-  children.reserve(root->cells.size());
-  for (const PrefixTree::Cell& cell : root->cells) {
-    children.push_back(cell.child);
-  }
-  PrefixTree::Node* merged =
-      MergeNodes(*merge_pool_, children, stats_, &merge_scratch_);
-  if (observer_ != nullptr) observer_->OnMerge(0);
-  Visit(merged, 1);
-  merge_pool_->Unref(merged);
+  Visit(tree_.root(), 0);
   return !aborted_;
 }
 
 bool NonKeyFinder::OverBudget() {
   if (aborted_) return true;
   // A relaxed load per Visit is noise next to the traversal work, so the
-  // cancellation and stop flags — unlike the clock — are polled unamortized:
-  // a cancelled service job should unwind promptly.
+  // cancellation flag — unlike the clock — is polled unamortized.
   if (options_.cancel_flag != nullptr &&
       options_.cancel_flag->load(std::memory_order_relaxed)) {
     aborted_ = true;
     abort_reason_ = AbortReason::kCancelled;
-    return true;
-  }
-  if (external_stop_ != nullptr &&
-      external_stop_->load(std::memory_order_relaxed)) {
-    aborted_ = true;  // reason stays kNone: it belongs to another worker
     return true;
   }
   if (options_.max_non_keys > 0 && non_keys_->size() > options_.max_non_keys) {
@@ -107,32 +47,14 @@ bool NonKeyFinder::OverBudget() {
     abort_reason_ = AbortReason::kNonKeyBudget;
     return true;
   }
-  // The wall-clock check (and the snapshot maintenance hook) is amortized
-  // over a finder-local tick so it works — and costs the same — whether or
-  // not a stats sink was supplied.
-  if ((++visit_tick_ & 0xFFF) == 0) {
-    if (maintenance_) maintenance_();
-    if (options_.time_budget_seconds > 0 &&
-        budget_offset_seconds_ + budget_watch_.ElapsedSeconds() >
-            options_.time_budget_seconds) {
-      aborted_ = true;
-      abort_reason_ = AbortReason::kTimeBudget;
-    }
+  // The wall-clock check is amortized over a finder-local tick so it works
+  // — and costs the same — whether or not a stats sink was supplied.
+  if ((++visit_tick_ & 0xFFF) == 0 && options_.time_budget_seconds > 0 &&
+      budget_watch_.ElapsedSeconds() > options_.time_budget_seconds) {
+    aborted_ = true;
+    abort_reason_ = AbortReason::kTimeBudget;
   }
   return aborted_;
-}
-
-bool NonKeyFinder::FutilityCovered(const AttributeSet& probe) {
-  if (warm_cover_ != nullptr && warm_cover_->CoversSet(probe)) {
-    if (stats_ != nullptr) ++stats_->warm_start_prunes;
-    return true;
-  }
-  if (non_keys_->CoversSet(probe)) return true;
-  if (remote_cover_ && remote_cover_(probe)) {
-    if (stats_ != nullptr) ++stats_->futility_snapshot_prunes;
-    return true;
-  }
-  return false;
 }
 
 void NonKeyFinder::ProcessLeaf(PrefixTree::Node* node, int level) {
@@ -213,7 +135,7 @@ void NonKeyFinder::Visit(PrefixTree::Node* node, int level) {
   // produce is cur_non_key_ | suffix_attrs_[level + 1]; if an already
   // discovered non-key covers it, everything below is redundant.
   if (options_.futility_pruning &&
-      FutilityCovered(cur_non_key_ | suffix_attrs_[level + 1])) {
+      non_keys_->CoversSet(cur_non_key_ | suffix_attrs_[level + 1])) {
     if (stats_ != nullptr) ++stats_->futility_prunes;
     if (observer_ != nullptr) observer_->OnPrune("futility", level);
     return;
@@ -229,6 +151,54 @@ void NonKeyFinder::Visit(PrefixTree::Node* node, int level) {
   if (observer_ != nullptr) observer_->OnMerge(level);
   Visit(merged, level + 1);
   merge_pool_->Unref(merged);  // line 29: discard the merged tree
+}
+
+KeyDiscoveryResult ReferenceFindKeys(const Table& table,
+                                     const GordianOptions& options) {
+  // Encoding is shared with the pipeline (it decides only which rows and
+  // attribute order to profile); it concludes the run itself for empty
+  // schemas, pre-build cancellation, and null projection, which profiles the
+  // projected table through a nested production session.
+  ProfileContext ctx;
+  ctx.input = &table;
+  ctx.options = options;
+  (void)EncodeStage().Run(&ctx);
+  KeyDiscoveryResult& result = ctx.result;
+  if (ctx.finished) return std::move(result);
+
+  PrefixTree tree =
+      PrefixTree::Build(*ctx.data, ctx.attr_order, options.tree_build);
+  result.stats.base_tree_nodes = tree.node_count();
+  result.stats.base_tree_cells = tree.cell_count();
+  if (tree.has_duplicate_entities()) {
+    result.no_keys = true;
+    result.non_keys.push_back(AttributeSet::FirstN(table.num_columns()));
+    return std::move(result);
+  }
+  if (ctx.Cancelled()) {
+    result.incomplete = true;
+    result.incomplete_reason = AbortReason::kCancelled;
+    return std::move(result);
+  }
+
+  NonKeySet non_keys(&result.stats);
+  NonKeyFinder finder(tree, options, &non_keys, &result.stats);
+  result.incomplete = !finder.Run();
+  result.incomplete_reason = finder.abort_reason();
+  result.stats.final_non_keys = non_keys.size();
+  result.non_keys = non_keys.CanonicalNonKeys();
+  if (result.incomplete) return std::move(result);
+
+  for (const AttributeSet& k :
+       NonKeysToKeys(result.non_keys, table.num_columns())) {
+    DiscoveredKey dk;
+    dk.attrs = k;
+    dk.estimated_strength =
+        result.sampled ? EstimatedStrengthLowerBound(*ctx.data, k) : 1.0;
+    if (!result.sampled) dk.exact_strength = 1.0;
+    result.keys.push_back(dk);
+  }
+  return std::move(result);
 }
 
 }  // namespace gordian

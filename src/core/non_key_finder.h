@@ -1,53 +1,26 @@
 #ifndef GORDIAN_CORE_NON_KEY_FINDER_H_
 #define GORDIAN_CORE_NON_KEY_FINDER_H_
 
-#include <atomic>
-#include <functional>
 #include <vector>
 
 #include "common/attribute_set.h"
 #include "common/stopwatch.h"
+#include "core/frozen_tree.h"
+#include "core/gordian.h"
 #include "core/non_key_set.h"
 #include "core/options.h"
 #include "core/prefix_tree.h"
+#include "table/table.h"
 
 namespace gordian {
 
-// Observation hooks into the traversal, for debugging, tracing, and the
-// specification tests that pin the paper's Figure 9 processing order. All
-// callbacks default to no-ops; the finder never depends on them.
-class TraversalObserver {
- public:
-  virtual ~TraversalObserver() = default;
-
-  // A segment (candidate non-key) of the current slice was examined at the
-  // leaf level — the unit of work Figure 9 orders.
-  virtual void OnSegment(const AttributeSet& /*segment*/) {}
-
-  // A non-key was handed to the NonKeySet (it may still be rejected there
-  // as redundant).
-  virtual void OnNonKey(const AttributeSet& /*non_key*/) {}
-
-  // A merge produced the tree for the next projection at `level`.
-  virtual void OnMerge(int /*level*/) {}
-
-  // A pruning rule fired: "singleton", "singleton-merge", "single-entity",
-  // or "futility".
-  virtual void OnPrune(const char* /*kind*/, int /*level*/) {}
-};
-
-// Algorithm 4: the doubly-recursive depth-first traversal that interleaves
-// the (virtual) cube computation with non-key discovery. The outer recursion
-// explores slices; after all children of a node are visited, its children
-// are merged (projecting out the node's attribute) and the merged tree is
-// explored recursively — so every segment of every slice is examined, in the
-// order shown in the paper's Figure 9, except where pruning applies.
-//
-// Run() is the ordinary serial entry point. For the parallel traversal
-// (docs/parallel.md) each worker owns a private finder and drives it through
-// RunSlice / RunRootMerge instead; the Set* hooks below wire the worker into
-// the shared machinery (merge-node pool, stop flag, futility snapshots).
-// A finder is never shared across threads.
+// The reference implementation of Algorithm 4: the paper's doubly-recursive
+// traversal written directly over PrefixTree's Node/Cell pointers. No
+// production path runs it — FindKeys and every service path run
+// FrozenNonKeyFinder (core/frozen_tree.h) — but it is the oracle the
+// frozen finder is tested against: visit order, pruning decisions,
+// counters, observer callbacks, and budget semantics must agree exactly.
+// Serial only; a finder is never shared across threads.
 class NonKeyFinder {
  public:
   NonKeyFinder(PrefixTree& tree, const GordianOptions& options,
@@ -58,73 +31,20 @@ class NonKeyFinder {
   // Returns false if a budget (options.max_non_keys /
   // options.time_budget_seconds) tripped or options.cancel_flag was raised
   // and the traversal stopped early; abort_reason() then says which.
+  // options.warm_start_non_keys is ignored: the reference always runs cold.
   bool Run();
 
-  // Why the traversal stopped early, or kNone after a complete run. An
-  // external stop (SetExternalStop) aborts with kNone — the reason belongs
-  // to whichever worker tripped it, and the parallel driver resolves it.
+  // Why the traversal stopped early, or kNone after a complete run.
   AbortReason abort_reason() const { return abort_reason_; }
 
-  // --- parallel-traversal entry points -----------------------------------
-
-  // Replays the slice body of Visit(root, 0) for exactly one top-level cell
-  // of the base tree: appends the root attribute to the candidate non-key,
-  // visits (or singleton-prunes) cell_index's subtree, removes the
-  // attribute again. Valid only for a non-leaf root. Returns false once the
-  // finder has aborted.
-  bool RunSlice(int cell_index);
-
-  // Replays the post-children tail of Visit(root, 0): singleton-merge /
-  // futility checks, then the merge of all top-level subtrees (projecting
-  // out the root attribute) and the recursive exploration of the merged
-  // tree. Run serially, after every slice of every worker has finished,
-  // against the union NonKeySet. Returns false once aborted.
-  bool RunRootMerge();
-
-  // Starts the budget clock with time already spent elsewhere in the find
-  // phase (a worker picking up its first slice late must charge the wait
-  // against options.time_budget_seconds). Run() resets the offset to zero;
-  // callers of RunSlice/RunRootMerge invoke this once instead.
-  void StartBudgetClock(double offset_seconds);
-
   // Merge intermediates are allocated from `pool` instead of the tree's own
-  // pool. Workers traverse disjoint base subtrees but must not share an
-  // allocator; each passes its private pool here.
+  // pool, leaving the tree's accounting untouched.
   void SetMergePool(PrefixTree::NodePool* pool) { merge_pool_ = pool; }
-
-  // When `stop` becomes true the finder unwinds exactly like a cancellation
-  // but leaves abort_reason() at kNone (see above).
-  void SetExternalStop(const std::atomic<bool>* stop) { external_stop_ = stop; }
-
-  // `cover` is consulted by the futility test after the local NonKeySet
-  // fails to cover the probe; returning true prunes and is counted under
-  // futility_snapshot_prunes. Used to test against other workers' published
-  // snapshots. Must be cheap-ish: it runs on the traversal hot path.
-  void SetRemoteCover(std::function<bool(const AttributeSet&)> cover) {
-    remote_cover_ = std::move(cover);
-  }
-
-  // Warm-start cover (options.warm_start_non_keys materialized as a
-  // NonKeySet): consulted by the futility test before the working set, so
-  // prunes earned by the prior run's non-keys are counted under
-  // warm_start_prunes. `warm` is read-only here and may be shared across
-  // workers; it must outlive the traversal.
-  void SetWarmCover(const NonKeySet* warm) { warm_cover_ = warm; }
-
-  // Invoked once every 4096 visits (the same amortization as the wall-clock
-  // budget check). Workers use it to publish their local non-keys and to
-  // refresh their view of the snapshot board.
-  void SetMaintenanceHook(std::function<void()> hook) {
-    maintenance_ = std::move(hook);
-  }
 
  private:
   void Visit(PrefixTree::Node* node, int level);
   void ProcessLeaf(PrefixTree::Node* node, int level);
   bool OverBudget();
-  // The futility predicate: local NonKeySet first, then the remote-cover
-  // hook. Bumps futility_snapshot_prunes when only the remote side fires.
-  bool FutilityCovered(const AttributeSet& probe);
 
   PrefixTree& tree_;
   const GordianOptions& options_;
@@ -145,24 +65,29 @@ class NonKeyFinder {
   // Reused across every MergeNodes call of the traversal.
   MergeScratch merge_scratch_;
 
-  // Pool for merge intermediates; defaults to tree_.pool() (serial mode).
+  // Pool for merge intermediates; defaults to tree_.pool().
   PrefixTree::NodePool* merge_pool_ = nullptr;
 
-  // Parallel hooks (all optional, unset in serial mode).
-  const std::atomic<bool>* external_stop_ = nullptr;
-  std::function<bool(const AttributeSet&)> remote_cover_;
-  std::function<void()> maintenance_;
-  const NonKeySet* warm_cover_ = nullptr;
-
   // Budget state (see GordianOptions): aborted_ unwinds the recursion.
-  // visit_tick_ amortizes the clock check and maintenance hook; it is local
-  // so the budget is enforced even when no stats sink was supplied.
+  // visit_tick_ amortizes the clock check; it is local so the budget is
+  // enforced even when no stats sink was supplied.
   Stopwatch budget_watch_;
-  double budget_offset_seconds_ = 0;
   uint64_t visit_tick_ = 0;
   bool aborted_ = false;
   AbortReason abort_reason_ = AbortReason::kNone;
 };
+
+// The reference FindKeys: encode (sampling, null projection, attribute
+// order), PrefixTree::Build, the duplicate-entity check, a serial
+// NonKeyFinder run, canonical non-key order, NonKeysToKeys, and strengths —
+// the whole paper pipeline with no frozen layout, no parallel fan-out, and
+// no cache (except that null projection profiles the projected table
+// through the production pipeline, as encode does for FindKeys). Budget
+// and cancellation aborts are reported like FindKeys reports them.
+// options.traversal_threads and warm_start_non_keys are ignored. Tests
+// compare every production path against this.
+KeyDiscoveryResult ReferenceFindKeys(const Table& table,
+                                     const GordianOptions& options = {});
 
 }  // namespace gordian
 

@@ -69,6 +69,17 @@ std::vector<AttributeSet> NonKeySet::non_keys() const {
   return out;
 }
 
+std::vector<AttributeSet> NonKeySet::CanonicalNonKeys() const {
+  std::vector<AttributeSet> out;
+  out.reserve(static_cast<size_t>(count_));
+  for (int b = std::max(0, min_count_); b <= max_count_; ++b) {
+    const size_t begin = out.size();
+    for (const Member& m : buckets_[b]) out.push_back(m.attrs);
+    std::sort(out.begin() + static_cast<std::ptrdiff_t>(begin), out.end());
+  }
+  return out;
+}
+
 void NonKeySet::Clear() {
   for (int b = std::max(0, min_count_); b <= max_count_; ++b) {
     buckets_[b].clear();

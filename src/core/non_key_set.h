@@ -38,6 +38,12 @@ class NonKeySet {
   // evicted members absent), matching the historical flat-vector behavior.
   std::vector<AttributeSet> non_keys() const;
 
+  // Members in canonical order: ascending cardinality, then bitset order
+  // (the order MinimizeSets uses for keys). Reports list non-keys this way,
+  // so they are byte-identical whatever order the traversal — serial,
+  // parallel, or reference — discovered them in.
+  std::vector<AttributeSet> CanonicalNonKeys() const;
+
   int64_t size() const { return count_; }
 
   // Monotonic counter bumped on every accepted Insert. Evictions always

@@ -85,7 +85,7 @@ struct GordianOptions {
   double time_budget_seconds = 0;
 
   // Cooperative cancellation. When non-null, the flag is polled at phase
-  // boundaries and inside NonKeyFinder's outer recursion; once it reads
+  // boundaries and inside the traversal's outer recursion; once it reads
   // true, discovery unwinds and the result comes back incomplete with
   // reason kCancelled. The pointed-to flag must outlive the run. Used by
   // the profiling service to cancel in-flight jobs without killing threads.
@@ -103,19 +103,9 @@ struct GordianOptions {
   // work counters differ. The pointed-to vector must outlive the run.
   const std::vector<AttributeSet>* warm_start_non_keys = nullptr;
 
-  // Traversal representation. When true (the default), the built prefix
-  // tree is flattened into the read-only FrozenTree layout right after the
-  // build phase and the non-key search runs FrozenNonKeyFinder's
-  // contiguous-span kernels instead of chasing Node/Cell pointers; results
-  // are byte-identical either way. False forces the pointer-tree traversal
-  // (the equivalence tests pin their baseline this way). The GORDIAN_FROZEN
-  // environment variable (set to 0) disables freezing process-wide on top
-  // of this flag.
-  bool frozen_traversal = true;
-
   // Intra-query parallelism: number of worker threads over which FindKeys
   // fans out the root's top-level slices of the traversal (each worker runs
-  // a private NonKeyFinder; discovered non-keys are exchanged through a
+  // a private FrozenNonKeyFinder; discovered non-keys are exchanged through a
   // lock-light snapshot so futility pruning still fires across slices, and
   // the per-slice results are merged deterministically before the final
   // root-merge pass). 0 = serial (the default; also consults the
@@ -137,7 +127,7 @@ struct GordianStats {
   int64_t base_tree_nodes = 0;
   int64_t base_tree_cells = 0;
 
-  // NonKeyFinder work.
+  // Traversal work (Algorithm 4).
   int64_t nodes_visited = 0;
   int64_t merges_performed = 0;
   int64_t merge_nodes_created = 0;
@@ -167,11 +157,9 @@ struct GordianStats {
   // Worker threads the find phase actually used (0 = serial traversal).
   int64_t traversal_threads_used = 0;
 
-  // Frozen-representation accounting: whether the find phase ran over a
-  // FrozenTree, the flat layout's byte footprint, and the wall clock of the
-  // freeze pass (0 when a prebuilt frozen artifact was injected — a
-  // TreeArtifactCache hit pays the freeze once at insert).
-  bool frozen_traversal_used = false;
+  // Frozen-representation accounting: the flat layout's byte footprint and
+  // the wall clock of the freeze pass (0 when a prebuilt frozen artifact was
+  // injected — a TreeArtifactCache hit pays the freeze once at insert).
   int64_t frozen_tree_bytes = 0;
   double freeze_seconds = 0;
 

@@ -6,7 +6,6 @@
 
 #include "common/stopwatch.h"
 #include "common/thread_pool.h"
-#include "core/non_key_finder.h"
 
 namespace gordian {
 
@@ -63,17 +62,16 @@ void AccumulateStats(const GordianStats& from, GordianStats* into) {
   into->non_keys_evicted += from.non_keys_evicted;
 }
 
-// The fan-out driver, shared between the pointer-tree and frozen-layout
-// modes. `Finder` must expose the slice API (SetMergePool, SetExternalStop,
-// StartBudgetClock, SetMaintenanceHook, SetRemoteCover, RunSlice,
-// RunRootMerge, abort_reason) — NonKeyFinder and FrozenNonKeyFinder both do,
-// by construction. The bodies are otherwise identical, so the equivalence
-// argument of docs/parallel.md applies to both instantiations verbatim.
-template <typename Tree, typename Finder>
-ParallelTraversalResult ParallelFindNonKeysImpl(
-    Tree& tree, int num_slices, const GordianOptions& options, int threads,
+}  // namespace
+
+ParallelTraversalResult ParallelFindNonKeys(
+    FrozenTree& tree, const GordianOptions& options, int threads,
     NonKeySet* merged, GordianStats* stats,
     PrefixTree::NodePool* root_merge_pool) {
+  assert(tree.num_levels() >= 2);
+  assert(root_merge_pool != nullptr);
+  const int num_slices = static_cast<int>(tree.level(0).num_cells());
+  assert(num_slices >= 2);
   threads = std::max(1, std::min(threads, num_slices));
 
   ParallelTraversalResult result;
@@ -119,7 +117,7 @@ ParallelTraversalResult ParallelFindNonKeysImpl(
 
   auto worker_body = [&](int w) {
     Worker& self = workers[static_cast<size_t>(w)];
-    Finder finder(tree, options, self.set.get(), &self.stats);
+    FrozenNonKeyFinder finder(tree, options, self.set.get(), &self.stats);
     finder.SetMergePool(self.pool.get());
     finder.SetExternalStop(&stop);
     if (warm) finder.SetWarmCover(&warm_set);
@@ -214,10 +212,9 @@ ParallelTraversalResult ParallelFindNonKeysImpl(
 
   // Final pass of Algorithm 4 at the root: merge all top-level subtrees and
   // explore the projection that drops the root attribute. Serial, against
-  // the union set, allocating from the tree's own pool like the serial mode
-  // does — unless the caller supplied a private pool (shared-tree runs).
-  Finder root_finder(tree, options, merged, stats);
-  if (root_merge_pool != nullptr) root_finder.SetMergePool(root_merge_pool);
+  // the union set.
+  FrozenNonKeyFinder root_finder(tree, options, merged, stats);
+  root_finder.SetMergePool(root_merge_pool);
   if (warm) root_finder.SetWarmCover(&warm_set);
   root_finder.StartBudgetClock(phase_watch.ElapsedSeconds());
   if (!root_finder.RunRootMerge()) {
@@ -225,31 +222,6 @@ ParallelTraversalResult ParallelFindNonKeysImpl(
     result.reason = root_finder.abort_reason();
   }
   return result;
-}
-
-}  // namespace
-
-ParallelTraversalResult ParallelFindNonKeys(
-    PrefixTree& tree, const GordianOptions& options, int threads,
-    NonKeySet* merged, GordianStats* stats,
-    PrefixTree::NodePool* root_merge_pool) {
-  PrefixTree::Node* root = tree.root();
-  assert(root != nullptr && !root->is_leaf && root->cells.size() >= 2);
-  const int num_slices = static_cast<int>(root->cells.size());
-  return ParallelFindNonKeysImpl<PrefixTree, NonKeyFinder>(
-      tree, num_slices, options, threads, merged, stats, root_merge_pool);
-}
-
-ParallelTraversalResult ParallelFindNonKeys(
-    FrozenTree& tree, const GordianOptions& options, int threads,
-    NonKeySet* merged, GordianStats* stats,
-    PrefixTree::NodePool* root_merge_pool) {
-  assert(tree.num_levels() >= 2);
-  assert(root_merge_pool != nullptr);
-  const int num_slices = static_cast<int>(tree.level(0).num_cells());
-  assert(num_slices >= 2);
-  return ParallelFindNonKeysImpl<FrozenTree, FrozenNonKeyFinder>(
-      tree, num_slices, options, threads, merged, stats, root_merge_pool);
 }
 
 }  // namespace gordian

@@ -66,37 +66,21 @@ struct ParallelTraversalResult {
 
 // Runs the find phase of FindKeys across `threads` workers: the root's
 // top-level slices are handed out dynamically, each worker traverses its
-// slices with a private NonKeyFinder / NonKeySet / NodePool, the per-worker
-// non-key sets are then merged (in worker order) into `merged`, and the
-// final root-merge pass of Algorithm 4 runs serially against the union.
-// Aborts (budget, cancellation) propagate through a shared stop flag with a
-// first-wins abort reason.
+// slices with a private FrozenNonKeyFinder / NonKeySet / NodePool, the
+// per-worker non-key sets are then merged (in worker order) into `merged`,
+// and the final root-merge pass of Algorithm 4 runs serially against the
+// union. Aborts (budget, cancellation) propagate through a shared stop flag
+// with a first-wins abort reason.
 //
 // Produces exactly the same non-key antichain as the serial traversal: see
-// docs/parallel.md for the argument. Requires a non-leaf root with >= 2
-// top-level cells and no duplicate entities (the caller falls back to the
-// serial path otherwise). Traversal counters are accumulated into `stats`.
+// docs/parallel.md for the argument. Requires >= 2 levels, >= 2 top-level
+// cells and no duplicate entities (the caller runs serially otherwise).
+// Traversal counters are accumulated into `stats`.
 //
-// The final serial root-merge pass allocates from `root_merge_pool` when one
-// is supplied, and from the tree's own pool otherwise. Runs over a shared
-// (TreeArtifactCache) tree must pass a private pool so the cached tree's
-// NodePool accounting is left untouched; the caller owns that pool and its
-// byte accounting.
-ParallelTraversalResult ParallelFindNonKeys(
-    PrefixTree& tree, const GordianOptions& options, int threads,
-    NonKeySet* merged, GordianStats* stats,
-    PrefixTree::NodePool* root_merge_pool = nullptr);
-
-// Frozen-layout twin: the same fan-out, with each worker (and the final
-// serial root merge) running FrozenNonKeyFinder over the flat representation
-// instead of a pointer-chasing NonKeyFinder. Produces the same antichain and
-// the same traversal counters as both the serial frozen traversal and the
-// pointer-tree parallel traversal. `root_merge_pool` is required here: a
-// FrozenTree carries no NodePool of its own, so the caller must say where
-// merge intermediates of the root pass are accounted (the owning tree's pool,
-// or a private pool for shared cache artifacts). Workers' slice traversals
-// mutate disjoint ranges of the frozen reference-count array and restore them
-// before returning, exactly like the pointer mode's ref_count discipline.
+// Merge intermediates of the final root pass come from `root_merge_pool`,
+// whose accounting the caller owns. Workers' slice traversals mutate
+// disjoint ranges of the frozen reference-count array and restore them
+// before returning.
 ParallelTraversalResult ParallelFindNonKeys(
     FrozenTree& tree, const GordianOptions& options, int threads,
     NonKeySet* merged, GordianStats* stats,

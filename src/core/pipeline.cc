@@ -8,7 +8,6 @@
 #include "common/random.h"
 #include "common/stopwatch.h"
 #include "core/key_conversion.h"
-#include "core/non_key_finder.h"
 #include "core/non_key_set.h"
 #include "core/parallel_finder.h"
 #include "core/strength.h"
@@ -29,19 +28,6 @@ int EnvTraversalThreads() {
     return v > 0 ? v : 0;
   }();
   return cached;
-}
-
-// Both traversal modes report non-keys in this canonical order (cardinality,
-// then bitset order — the same ordering MinimizeSets uses for keys), making
-// reports byte-identical across serial and parallel runs: the discovered
-// antichain's *content* is mode-invariant, but its insertion order is not.
-void CanonicalizeNonKeys(std::vector<AttributeSet>* non_keys) {
-  std::sort(non_keys->begin(), non_keys->end(),
-            [](const AttributeSet& a, const AttributeSet& b) {
-              const int ca = a.Count(), cb = b.Count();
-              if (ca != cb) return ca < cb;
-              return a < b;
-            });
 }
 
 std::vector<int> ComputeAttributeOrder(const Table& table,
@@ -97,33 +83,6 @@ std::vector<int> NullableColumns(const Table& table) {
   return nullable;
 }
 
-// Shared tail of both traversal stages: canonical ordering, phase timing,
-// peak-memory accounting, and the incomplete short-circuit (a partial
-// non-key set cannot certify keys — later stages must not run).
-void FinishTraversal(ProfileContext* ctx, const Stopwatch& watch,
-                     int64_t worker_pool_bytes) {
-  CanonicalizeNonKeys(&ctx->result.non_keys);
-  ctx->result.stats.find_seconds = watch.ElapsedSeconds();
-  ctx->result.stats.peak_memory_bytes =
-      ctx->tree->pool().peak_bytes() + worker_pool_bytes;
-  if (ctx->tree_external) {
-    ctx->result.stats.peak_memory_bytes +=
-        ctx->external_merge_pool.peak_bytes();
-  }
-  if (ctx->frozen != nullptr) {
-    ctx->result.stats.peak_memory_bytes += ctx->frozen->ApproxBytes();
-  }
-  if (ctx->result.incomplete) ctx->finished = true;
-}
-
-// The merge-intermediate pool for a frozen traversal: the run's own tree
-// pool when the tree is this run's (its peak is already what FinishTraversal
-// reports), the external pool when the tree — and therefore its pool — is a
-// shared cache artifact that must come back untouched.
-PrefixTree::NodePool* FrozenMergePool(ProfileContext* ctx) {
-  return ctx->tree_external ? &ctx->external_merge_pool : &ctx->tree->pool();
-}
-
 }  // namespace
 
 int ResolveTraversalThreads(const GordianOptions& options) {
@@ -131,10 +90,6 @@ int ResolveTraversalThreads(const GordianOptions& options) {
   if (threads == 0) threads = EnvTraversalThreads();
   if (threads < 0) threads = 0;  // explicit "force serial"
   return threads;
-}
-
-bool ResolveFrozenTraversal(const GordianOptions& options) {
-  return options.frozen_traversal && FrozenTreesEnabled();
 }
 
 Status EncodeStage::Run(ProfileContext* ctx) {
@@ -148,7 +103,7 @@ Status EncodeStage::Run(ProfileContext* ctx) {
 
   // SQL-style null handling: bar nullable columns from the search entirely,
   // then lift the results of the projection back to original positions. The
-  // projection is profiled by a nested session running the same plan shape.
+  // projection is profiled by a nested session running the same stages.
   if (ctx->options.null_semantics ==
       GordianOptions::NullSemantics::kExcludeNullableColumns) {
     std::vector<int> nullable = NullableColumns(table);
@@ -209,141 +164,114 @@ Status EncodeStage::Run(ProfileContext* ctx) {
   return Status::OK();
 }
 
-Status TreeBuildStage::Run(ProfileContext* ctx) {
-  Stopwatch watch;
-  if (ctx->tree != nullptr) {
-    // A prebuilt tree was injected (TreeArtifactCache hit). It was built
-    // from identical data under identical options, so it is the tree this
-    // stage would have produced; assert the level order agrees.
-    assert(ctx->tree->attr_order() == ctx->attr_order &&
-           "shared tree was built under a different attribute order");
+namespace {
+
+// Bytes of the tree artifacts this run holds: the pointer tree's pool when
+// it built one, plus the frozen layout.
+int64_t TreeBytes(const ProfileContext& ctx) {
+  int64_t bytes = ctx.frozen->ApproxBytes();
+  if (ctx.owned_tree != nullptr) bytes += ctx.owned_tree->pool().peak_bytes();
+  return bytes;
+}
+
+// Algorithm 2: builds the prefix tree and freezes it — the tree is never
+// mutated again (traversal only touches reference counts), so this is where
+// freezing pays. An injected frozen tree skips both. Then the duplicate-
+// entity and cancellation checks, which conclude the run.
+void BuildTree(ProfileContext* ctx) {
+  GordianStats& stats = ctx->result.stats;
+  if (ctx->frozen != nullptr) {
+    // Built from identical data under identical options, so it is the tree
+    // this stage would have produced; assert the level order agrees.
+    assert(ctx->frozen->attr_order() == ctx->attr_order &&
+           "injected tree was built under a different attribute order");
   } else {
+    Stopwatch watch;
     ctx->owned_tree = std::make_unique<PrefixTree>(PrefixTree::Build(
         *ctx->data, ctx->attr_order, ctx->options.tree_build));
-    ctx->tree = ctx->owned_tree.get();
+    stats.build_seconds = watch.ElapsedSeconds();
+    watch.Restart();
+    ctx->owned_frozen = FrozenTree::Freeze(*ctx->owned_tree);
+    ctx->frozen = ctx->owned_frozen.get();
+    stats.freeze_seconds = watch.ElapsedSeconds();
   }
-  PrefixTree& tree = *ctx->tree;
-  ctx->result.stats.build_seconds = watch.ElapsedSeconds();
-  ctx->result.stats.base_tree_nodes = tree.node_count();
-  ctx->result.stats.base_tree_cells = tree.cell_count();
+  const FrozenTree& tree = *ctx->frozen;
+  stats.base_tree_nodes = tree.node_count();
+  stats.base_tree_cells = tree.cell_count();
+  stats.frozen_tree_bytes = tree.ApproxBytes();
 
-  if (tree.has_duplicate_entities()) {
+  if (tree.HasDuplicateEntities()) {
     // Algorithm 2, lines 17-18: a repeated entity means no key exists.
     ctx->result.no_keys = true;
     ctx->result.non_keys.push_back(
-        AttributeSet::FirstN(static_cast<int>(ctx->result.stats.num_attributes)));
-    ctx->result.stats.peak_memory_bytes = tree.pool().peak_bytes();
+        AttributeSet::FirstN(static_cast<int>(stats.num_attributes)));
+    stats.peak_memory_bytes = TreeBytes(*ctx);
     ctx->finished = true;
-    return Status::OK();
-  }
-
-  if (ctx->Cancelled()) {
+  } else if (ctx->Cancelled()) {
     ctx->result.incomplete = true;
     ctx->result.incomplete_reason = AbortReason::kCancelled;
-    ctx->result.stats.peak_memory_bytes = tree.pool().peak_bytes();
+    stats.peak_memory_bytes = TreeBytes(*ctx);
     ctx->finished = true;
-    return Status::OK();
   }
-
-  // The tree will not be mutated again (traversal only touches reference
-  // counts), so this is the point where freezing pays: flatten once, let
-  // the traversal stage run the span kernels. A cache hit injects the
-  // prefrozen artifact instead and skips the pass entirely.
-  if (ResolveFrozenTraversal(ctx->options)) {
-    if (ctx->frozen == nullptr) {
-      Stopwatch freeze_watch;
-      ctx->owned_frozen = FrozenTree::Freeze(tree);
-      ctx->frozen = ctx->owned_frozen.get();
-      ctx->result.stats.freeze_seconds = freeze_watch.ElapsedSeconds();
-    }
-    ctx->result.stats.frozen_tree_bytes = ctx->frozen->ApproxBytes();
-  }
-  return Status::OK();
 }
 
-Status SerialTraversalStage::Run(ProfileContext* ctx) {
+// Algorithm 4 over the frozen tree: fanned across the resolved thread count
+// when the root has >= 2 top-level slices (docs/parallel.md), serially
+// otherwise. Both end in the canonical non-key order, so downstream stages
+// (and reports) cannot tell them apart. A partial non-key set cannot
+// certify keys, so an aborted traversal concludes the run.
+void Traverse(ProfileContext* ctx) {
   Stopwatch watch;
   KeyDiscoveryResult& result = ctx->result;
-  NonKeySet non_key_set(&result.stats);
-  // Warm start (incremental re-profiles): the prior run's non-keys are
-  // genuine non-keys of the appended table, so they seed the working set —
-  // keeping the final antichain complete — and double as a read-only cover
-  // the futility test consults first, pruning already-settled regions.
-  const std::vector<AttributeSet>* warm_seeds =
-      ctx->options.warm_start_non_keys;
-  const bool warm = warm_seeds != nullptr && !warm_seeds->empty();
-  NonKeySet warm_set(nullptr);
-  if (warm) {
-    for (const AttributeSet& nk : *warm_seeds) {
-      warm_set.Insert(nk);
-      non_key_set.Insert(nk);
-    }
-    result.stats.warm_start_seeds += static_cast<int64_t>(warm_seeds->size());
-  }
-  if (ctx->frozen != nullptr) {
-    FrozenNonKeyFinder finder(*ctx->frozen, ctx->options, &non_key_set,
-                              &result.stats);
-    finder.SetMergePool(FrozenMergePool(ctx));
-    if (warm) finder.SetWarmCover(&warm_set);
-    result.stats.frozen_traversal_used = true;
-    result.incomplete = !finder.Run();
-    result.incomplete_reason = finder.abort_reason();
+  FrozenTree& tree = *ctx->frozen;
+  const int threads = ResolveTraversalThreads(ctx->options);
+  int64_t scratch_bytes = 0;
+  if (threads >= 1 && tree.num_levels() >= 2 &&
+      tree.level(0).num_cells() >= 2) {
+    NonKeySet merged(nullptr);
+    ++result.stats.nodes_visited;  // the root, visited once in serial mode
+    ParallelTraversalResult pr = ParallelFindNonKeys(
+        tree, ctx->options, threads, &merged, &result.stats, &ctx->merge_pool);
+    result.incomplete = pr.aborted;
+    result.incomplete_reason = pr.reason;
+    result.stats.traversal_threads_used = pr.threads_used;
+    result.stats.final_non_keys = merged.size();
+    result.non_keys = merged.CanonicalNonKeys();
+    scratch_bytes = pr.worker_pool_peak_bytes + merged.ApproxBytes();
   } else {
-    NonKeyFinder finder(*ctx->tree, ctx->options, &non_key_set,
-                        &result.stats);
-    // An externally owned tree must come back byte-identical (other jobs
-    // will reuse it), so merge intermediates go to a private pool — the
-    // same discipline parallel workers already follow.
-    if (ctx->tree_external) finder.SetMergePool(&ctx->external_merge_pool);
+    NonKeySet non_key_set(&result.stats);
+    // Warm start (incremental re-profiles): the prior run's non-keys are
+    // genuine non-keys of the appended table, so they seed the working set
+    // — keeping the final antichain complete — and double as a read-only
+    // cover the futility test consults first, pruning settled regions.
+    const std::vector<AttributeSet>* warm_seeds =
+        ctx->options.warm_start_non_keys;
+    const bool warm = warm_seeds != nullptr && !warm_seeds->empty();
+    NonKeySet warm_set(nullptr);
+    if (warm) {
+      for (const AttributeSet& nk : *warm_seeds) {
+        warm_set.Insert(nk);
+        non_key_set.Insert(nk);
+      }
+      result.stats.warm_start_seeds += static_cast<int64_t>(warm_seeds->size());
+    }
+    FrozenNonKeyFinder finder(tree, ctx->options, &non_key_set, &result.stats);
+    finder.SetMergePool(&ctx->merge_pool);
     if (warm) finder.SetWarmCover(&warm_set);
     result.incomplete = !finder.Run();
     result.incomplete_reason = finder.abort_reason();
+    result.stats.final_non_keys = non_key_set.size();
+    result.non_keys = non_key_set.CanonicalNonKeys();
+    scratch_bytes = non_key_set.ApproxBytes();
   }
-  result.stats.final_non_keys = non_key_set.size();
-  result.non_keys = non_key_set.non_keys();
-  FinishTraversal(ctx, watch, non_key_set.ApproxBytes());
-  return Status::OK();
+  result.stats.find_seconds = watch.ElapsedSeconds();
+  result.stats.peak_memory_bytes =
+      TreeBytes(*ctx) + ctx->merge_pool.peak_bytes() + scratch_bytes;
+  if (result.incomplete) ctx->finished = true;
 }
 
-Status ParallelTraversalStage::Run(ProfileContext* ctx) {
-  PrefixTree& tree = *ctx->tree;
-  // The parallel path needs >= 2 top-level slices to fan out; everything
-  // smaller (leaf root, single slice) is trivial and runs serially
-  // regardless — the historical FindKeys dispatch.
-  const bool parallel = threads_ >= 1 && tree.root() != nullptr &&
-                        !tree.root()->is_leaf &&
-                        tree.root()->cells.size() >= 2;
-  if (!parallel) {
-    SerialTraversalStage serial;
-    return serial.Run(ctx);
-  }
-
-  Stopwatch watch;
-  KeyDiscoveryResult& result = ctx->result;
-  NonKeySet merged_set(nullptr);
-  ++result.stats.nodes_visited;  // the root, visited once in serial mode
-  ParallelTraversalResult pr;
-  if (ctx->frozen != nullptr) {
-    result.stats.frozen_traversal_used = true;
-    pr = ParallelFindNonKeys(*ctx->frozen, ctx->options, threads_,
-                             &merged_set, &result.stats,
-                             FrozenMergePool(ctx));
-  } else {
-    pr = ParallelFindNonKeys(
-        tree, ctx->options, threads_, &merged_set, &result.stats,
-        ctx->tree_external ? &ctx->external_merge_pool : nullptr);
-  }
-  result.incomplete = pr.aborted;
-  result.incomplete_reason = pr.reason;
-  result.stats.traversal_threads_used = pr.threads_used;
-  result.stats.final_non_keys = merged_set.size();
-  result.non_keys = merged_set.non_keys();
-  FinishTraversal(ctx, watch,
-                  pr.worker_pool_peak_bytes + merged_set.ApproxBytes());
-  return Status::OK();
-}
-
-Status KeyConversionStage::Run(ProfileContext* ctx) {
+// Algorithm 6: maximal non-keys -> minimal keys.
+void ConvertKeys(ProfileContext* ctx) {
   Stopwatch watch;
   std::vector<AttributeSet> keys =
       NonKeysToKeys(ctx->result.non_keys,
@@ -355,70 +283,58 @@ Status KeyConversionStage::Run(ProfileContext* ctx) {
     dk.attrs = k;
     ctx->result.keys.push_back(dk);
   }
-  return Status::OK();
 }
 
-Status ValidationStage::Run(ProfileContext* ctx) {
+// Attaches strengths: exact 1.0 for full-data runs, the T(K) lower bound
+// for sampled runs (Section 3.9).
+void Validate(ProfileContext* ctx) {
   for (DiscoveredKey& k : ctx->result.keys) {
     k.estimated_strength =
         ctx->result.sampled ? EstimatedStrengthLowerBound(*ctx->data, k.attrs)
                             : 1.0;
     if (!ctx->result.sampled) k.exact_strength = 1.0;
   }
-  return Status::OK();
 }
 
-ProfilePlan ProfilePlan::Default(const GordianOptions& options) {
-  ProfilePlan plan;
-  plan.Append(std::make_unique<EncodeStage>());
-  plan.Append(std::make_unique<TreeBuildStage>());
-  const int threads = ResolveTraversalThreads(options);
-  if (threads >= 1) {
-    plan.Append(std::make_unique<ParallelTraversalStage>(threads));
-  } else {
-    plan.Append(std::make_unique<SerialTraversalStage>());
-  }
-  plan.Append(std::make_unique<KeyConversionStage>());
-  plan.Append(std::make_unique<ValidationStage>());
-  return plan;
+// Runs one stage and records its wall clock under `name`; the caller fills
+// in the metric's bytes/rows (see StageMetric).
+template <typename Body>
+StageMetric& RunStage(const char* name, std::vector<StageMetric>* metrics,
+                      const Body& body) {
+  Stopwatch watch;
+  body();
+  metrics->push_back(StageMetric{name, watch.ElapsedSeconds()});
+  return metrics->back();
+}
+
+}  // namespace
+
+void RunPostEncode(ProfileContext* ctx, std::vector<StageMetric>* metrics) {
+  StageMetric& build = RunStage("tree_build", metrics, [&] { BuildTree(ctx); });
+  build.bytes = TreeBytes(*ctx);
+  if (ctx->finished) return;
+  StageMetric& traverse = RunStage("traverse", metrics, [&] { Traverse(ctx); });
+  traverse.bytes = ctx->result.stats.peak_memory_bytes;
+  if (ctx->finished) return;
+  RunStage("convert", metrics, [&] { ConvertKeys(ctx); });
+  RunStage("validate", metrics, [&] { Validate(ctx); });
 }
 
 Status ProfileSession::Run(const Table& table, KeyDiscoveryResult* out) {
   ProfileContext ctx;
   ctx.input = &table;
   ctx.options = options_;
-  if (shared_tree_ != nullptr) {
-    ctx.tree = shared_tree_;
-    ctx.tree_external = true;
-    shared_tree_ = nullptr;  // one Run per injection
-    if (shared_frozen_ != nullptr && ResolveFrozenTraversal(options_)) {
-      ctx.frozen = shared_frozen_;
-    }
-  }
-  shared_frozen_ = nullptr;
+  ctx.frozen = shared_frozen_;
+  shared_frozen_ = nullptr;  // one Run per injection
   metrics_.clear();
-  built_tree_.reset();
-  built_frozen_.reset();
 
   Status status;
-  for (const std::unique_ptr<ProfileStage>& stage : plan_.stages()) {
-    Stopwatch watch;
-    status = stage->Run(&ctx);
-    StageMetric m;
-    m.name = stage->name();
-    m.seconds = watch.ElapsedSeconds();
-    // Dominant footprint per stage; see StageMetric.
-    if (m.name == "encode") {
-      m.rows = ctx.result.stats.rows_processed;
-      if (ctx.result.sampled) m.bytes = ctx.sample_storage.ApproxBytes();
-    } else if (m.name == "tree_build" && ctx.tree != nullptr) {
-      m.bytes = ctx.tree->pool().current_bytes();
-    } else if (m.name == "traverse") {
-      m.bytes = ctx.result.stats.peak_memory_bytes;
-    }
-    metrics_.push_back(std::move(m));
-    if (!status.ok() || ctx.finished) break;
-  }
+  auto encode_body = [&] { status = EncodeStage().Run(&ctx); };
+  StageMetric& encode = RunStage("encode", &metrics_, encode_body);
+  encode.rows = ctx.result.stats.rows_processed;
+  if (ctx.result.sampled) encode.bytes = ctx.sample_storage.ApproxBytes();
+  if (status.ok() && !ctx.finished) RunPostEncode(&ctx, &metrics_);
+
   built_tree_ = std::move(ctx.owned_tree);
   built_frozen_ = std::move(ctx.owned_frozen);
   *out = std::move(ctx.result);

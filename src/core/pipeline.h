@@ -16,18 +16,18 @@ namespace gordian {
 
 // The staged profiling pipeline. GORDIAN's run is naturally phased — encode
 // the entities (sampling, null handling, attribute ordering), build the
-// prefix tree (Algorithm 2), traverse it for non-keys (Algorithm 4), convert
-// non-keys to keys (Algorithm 6), attach strengths (Section 3.9) — and this
-// module makes the phases explicit: each is a ProfileStage, a ProfilePlan is
-// an ordered stage list, and a ProfileSession executes a plan over a
-// ProfileContext, recording per-stage wall time and bytes.
+// prefix tree (Algorithm 2) and freeze it, traverse it for non-keys
+// (Algorithm 4), convert non-keys to keys (Algorithm 6), attach strengths
+// (Section 3.9) — and a ProfileSession runs those phases in that order over
+// a ProfileContext, recording per-stage wall time and bytes.
 //
-// FindKeys, StreamingProfiler::Finish, the profiling service, and the engine
-// advisor are all thin compositions over the same default plan; they differ
-// only in how the context is seeded (most importantly, whether a prebuilt
-// prefix tree is injected from the service's TreeArtifactCache, letting a
-// job skip TreeBuildStage entirely). Results are byte-identical across all
-// composition paths and across serial/parallel traversal.
+// FindKeys, StreamingProfiler::Finish, the profiling service, the
+// incremental profiler, and the engine advisor all run this one sequence;
+// they differ only in how the context is seeded (most importantly, whether
+// a prefrozen tree is injected from the service's TreeArtifactCache,
+// letting a job skip the build and the freeze). The traversal always runs
+// FrozenNonKeyFinder, serially or fanned out across workers. Results are
+// byte-identical across all seeding paths and thread counts.
 
 // Wall time, bytes, and rows attributed to one executed stage. `bytes` is
 // the stage's dominant footprint: the sample's heap for encode, the tree
@@ -43,7 +43,7 @@ struct StageMetric {
 
 // Shared state threaded through the stages of one profiling run. Owns the
 // result under construction plus every intermediate the stages exchange.
-// Not copyable (it embeds a PrefixTree); lives on the session's stack.
+// Not copyable; lives on the session's stack.
 struct ProfileContext {
   // Inputs, set by ProfileSession::Run before the first stage.
   const Table* input = nullptr;
@@ -55,24 +55,18 @@ struct ProfileContext {
   Table sample_storage;
   std::vector<int> attr_order;
 
-  // TreeBuildStage outputs. `tree` points at `owned_tree` when this run
-  // built its own, or at an externally owned, previously built tree
-  // (injected via ProfileSession::set_shared_tree — a TreeArtifactCache
-  // hit). An external tree's NodePool must not be touched: traversal merge
-  // intermediates then come from `external_merge_pool` instead, exactly as
-  // parallel workers already allocate from private pools.
+  // The tree build's outputs: the pointer tree this run built (kept only
+  // for callers that cache or absorb into it) and the frozen layout the
+  // traversal runs over. `frozen` points at `owned_frozen`, or at an
+  // injected artifact (a TreeArtifactCache hit, or ReprofileTree's refreeze)
+  // — then the build and freeze are skipped.
   std::unique_ptr<PrefixTree> owned_tree;
-  PrefixTree* tree = nullptr;
-  bool tree_external = false;
-  PrefixTree::NodePool external_merge_pool;
-
-  // Frozen counterpart of the tree fields: TreeBuildStage freezes the built
-  // tree when ResolveFrozenTraversal allows (or `frozen` was injected via
-  // ProfileSession::set_shared_frozen_tree alongside the shared pointer
-  // tree); the traversal stages then run FrozenNonKeyFinder. Null when the
-  // frozen path is disabled — traversal falls back to the pointer tree.
   std::unique_ptr<FrozenTree> owned_frozen;
   FrozenTree* frozen = nullptr;
+
+  // Merge intermediates of the traversal (serial, or the parallel root
+  // merge); a frozen tree has no pool of its own.
+  PrefixTree::NodePool merge_pool;
 
   // The result being assembled. A stage that concludes the run (duplicate
   // entities, cancellation, aborted traversal, null-projection hand-off)
@@ -86,162 +80,74 @@ struct ProfileContext {
   }
 };
 
-// One stage of the pipeline. Run() mutates the context; a non-OK Status
-// aborts the session (none of the built-in stages fail — the Status channel
-// is the seam for future stages with real failure modes, e.g. spill-to-disk
-// trees or per-stage distribution).
-class ProfileStage {
- public:
-  virtual ~ProfileStage() = default;
-  virtual const char* name() const = 0;
-  virtual Status Run(ProfileContext* ctx) = 0;
-};
-
 // Sampling (Section 3.9), SQL-style null projection, attribute ordering,
 // and the pre-build cancellation check. When null semantics exclude nullable
 // columns, this stage runs a nested session over the projected table and
 // lifts the results back — concluding the run.
-class EncodeStage : public ProfileStage {
+class EncodeStage {
  public:
-  const char* name() const override { return "encode"; }
-  Status Run(ProfileContext* ctx) override;
+  Status Run(ProfileContext* ctx);
 };
 
-// Algorithm 2: builds the prefix tree (unless an external tree was
-// injected), detects duplicate entities, checks cancellation.
-class TreeBuildStage : public ProfileStage {
- public:
-  const char* name() const override { return "tree_build"; }
-  Status Run(ProfileContext* ctx) override;
-};
+// The stages after encode — tree_build (Build + Freeze, skipped when
+// ctx->frozen was injected; then the duplicate-entity and cancellation
+// checks), traverse, convert, validate — over a context whose encode
+// outputs are set. None of them fail. Appends one StageMetric per executed
+// stage to *metrics. ProfileSession::Run is EncodeStage followed by this;
+// ReprofileTree calls it directly with a refrozen tree and no Table.
+void RunPostEncode(ProfileContext* ctx, std::vector<StageMetric>* metrics);
 
-// Algorithm 4: the non-key search. One interface, two implementations —
-// serial, and the slice-parallel fan-out of docs/parallel.md. Both finish
-// with the same canonical non-key ordering, so downstream stages (and
-// reports) cannot tell them apart.
-class TraversalStage : public ProfileStage {
- public:
-  const char* name() const override { return "traverse"; }
-};
-
-class SerialTraversalStage : public TraversalStage {
- public:
-  Status Run(ProfileContext* ctx) override;
-};
-
-// Fans the root's top-level slices across `threads` workers. Trees too
-// small to fan out (leaf root, single slice) fall back to the serial body,
-// mirroring the historical FindKeys dispatch exactly.
-class ParallelTraversalStage : public TraversalStage {
- public:
-  explicit ParallelTraversalStage(int threads) : threads_(threads) {}
-  Status Run(ProfileContext* ctx) override;
-
- private:
-  int threads_;
-};
-
-// Algorithm 6: maximal non-keys -> minimal keys.
-class KeyConversionStage : public ProfileStage {
- public:
-  const char* name() const override { return "convert"; }
-  Status Run(ProfileContext* ctx) override;
-};
-
-// Attaches strengths: exact 1.0 for full-data runs, the T(K) lower bound
-// for sampled runs (Section 3.9).
-class ValidationStage : public ProfileStage {
- public:
-  const char* name() const override { return "validate"; }
-  Status Run(ProfileContext* ctx) override;
-};
-
-// An ordered list of stages. Default(options) reproduces FindKeys: encode,
-// tree build, traversal (parallel when the resolved thread count asks for
-// it — options.traversal_threads, falling back to GORDIAN_THREADS),
-// conversion, validation.
-class ProfilePlan {
- public:
-  static ProfilePlan Default(const GordianOptions& options);
-
-  void Append(std::unique_ptr<ProfileStage> stage) {
-    stages_.push_back(std::move(stage));
-  }
-  const std::vector<std::unique_ptr<ProfileStage>>& stages() const {
-    return stages_;
-  }
-
- private:
-  std::vector<std::unique_ptr<ProfileStage>> stages_;
-};
-
-// Executes a plan over one table. Reusable: each Run resets the context.
+// Executes the pipeline over one table. Reusable: each Run resets the
+// context.
 //
-//   ProfileSession session(options);            // default plan
+//   ProfileSession session(options);
 //   KeyDiscoveryResult r;
 //   Status s = session.Run(table, &r);
 //   for (const StageMetric& m : session.stage_metrics()) ...
 class ProfileSession {
  public:
-  explicit ProfileSession(const GordianOptions& options)
-      : options_(options), plan_(ProfilePlan::Default(options)) {}
-  ProfileSession(ProfilePlan plan, const GordianOptions& options)
-      : options_(options), plan_(std::move(plan)) {}
+  explicit ProfileSession(const GordianOptions& options) : options_(options) {}
 
-  // Injects a prebuilt prefix tree for the next Run (a TreeArtifactCache
-  // hit): TreeBuildStage skips Build and traversal allocates merge
-  // intermediates from a private pool, leaving `tree` byte-identical to its
-  // pre-run state on return. The tree must match the table/options this
-  // session profiles (same data, sample spec, attribute order, build mode)
-  // and must not be used concurrently by another run — traversal touches
-  // node reference counts. Cleared after Run.
-  void set_shared_tree(PrefixTree* tree) { shared_tree_ = tree; }
-
-  // Companion to set_shared_tree: injects the prefrozen artifact of the
-  // same cached tree, so the run skips the freeze pass too. Only meaningful
-  // together with set_shared_tree; the frozen tree's traversal-mutable
-  // reference counts are restored before Run returns, exactly like the
-  // pointer tree's. Cleared after Run.
+  // Injects a prefrozen tree for the next Run (a TreeArtifactCache hit): the
+  // run skips the build and the freeze, and allocates merge intermediates
+  // from its own pool. The tree must match the table/options this session
+  // profiles (same data, sample spec, attribute order, build mode) and must
+  // not be used concurrently by another run — traversal touches its
+  // reference counts, restoring them before Run returns. Cleared after Run.
   void set_shared_frozen_tree(FrozenTree* frozen) { shared_frozen_ = frozen; }
 
   // Runs every stage in order (stopping early when a stage concludes the
   // run) and moves the result into *out.
   Status Run(const Table& table, KeyDiscoveryResult* out);
 
-  // Per-stage wall/bytes of the last Run, in execution order.
+  // Per-stage wall/bytes of the last Run, in execution order: encode,
+  // tree_build, traverse, convert, validate.
   const std::vector<StageMetric>& stage_metrics() const { return metrics_; }
 
-  // The tree the last Run built, for callers that cache it (nullptr when
-  // the run used a shared tree, never built one, or was never run).
+  // The pointer tree the last Run built, for callers that cache it or
+  // absorb appends into it (nullptr when a frozen tree was injected, no
+  // tree was built, or the session never ran).
   std::unique_ptr<PrefixTree> TakeTree() { return std::move(built_tree_); }
 
-  // The frozen flattening the last Run produced (nullptr when the frozen
-  // path was disabled, a prefrozen artifact was injected, or no tree was
-  // built). Callers that cache the tree cache this alongside it.
+  // The frozen flattening of that tree (non-null exactly when TakeTree's
+  // tree is). Callers that cache the tree cache this alongside it.
   std::unique_ptr<FrozenTree> TakeFrozenTree() {
     return std::move(built_frozen_);
   }
 
  private:
   GordianOptions options_;
-  ProfilePlan plan_;
-  PrefixTree* shared_tree_ = nullptr;
   FrozenTree* shared_frozen_ = nullptr;
   std::vector<StageMetric> metrics_;
   std::unique_ptr<PrefixTree> built_tree_;
   std::unique_ptr<FrozenTree> built_frozen_;
 };
 
-// The thread count the default plan resolves for `options`:
+// The thread count a run under `options` traverses with:
 // traversal_threads when set, else GORDIAN_THREADS, else 0 (serial);
 // negative forces serial. Exposed so callers (service metrics, benches) can
 // report the mode a run will use.
 int ResolveTraversalThreads(const GordianOptions& options);
-
-// Whether a run under `options` freezes the tree and traverses the flat
-// layout: options.frozen_traversal gated by the process-wide GORDIAN_FROZEN
-// escape hatch (see FrozenTreesEnabled).
-bool ResolveFrozenTraversal(const GordianOptions& options);
 
 }  // namespace gordian
 

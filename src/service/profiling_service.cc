@@ -240,9 +240,6 @@ void ProfilingService::RunTableJob(Record* rec,
   if (cache != nullptr) {
     if (rec->tree_cache_hit) {
       metrics_.OnTreeCacheHit();
-      // A hit whose traversal ran the frozen layout was served the cached
-      // artifact's prefrozen twin — the run paid neither build nor freeze.
-      if (rec->result.stats.frozen_traversal_used) metrics_.OnFrozenServe();
     } else {
       metrics_.OnTreeCacheMiss();
       if (rec->result.stats.freeze_seconds > 0 ||
@@ -446,7 +443,7 @@ Status ProfilingService::AppendAndReprofile(uint64_t fingerprint,
     }
     (void)tree->AbsorbBatch(level_codes, delta_rows);
     std::unique_ptr<FrozenTree> refrozen;
-    Status rs = ReprofileTree(tree, run_options, num_columns,
+    Status rs = ReprofileTree(*tree, run_options, num_columns,
                               chain->state.num_rows(), &result, &refrozen);
     if (!rs.ok()) return rs;
     refreeze_seconds = result.stats.freeze_seconds;

@@ -38,10 +38,9 @@ TreeCacheKey MakeTreeCacheKey(uint64_t fingerprint, int num_columns,
 
 struct TreeArtifactCache::Lease::Entry {
   TreeCacheKey key;
+  // The pointer tree is kept only for appends' in-place absorb; hits
+  // traverse the frozen layout, which is never null.
   std::unique_ptr<PrefixTree> tree;
-  // Prefrozen flat layout, kept beside the pointer tree (never instead of
-  // it: a GORDIAN_FROZEN=0 run hitting this entry still needs the pointer
-  // tree). Null when freezing was disabled at insert time.
   std::unique_ptr<FrozenTree> frozen;
   int64_t bytes = 0;
   bool leased = false;
@@ -97,19 +96,16 @@ TreeArtifactCache::Lease TreeArtifactCache::Insert(
 
   // Freeze-on-insert: pay the flattening once, outside the lock, so every
   // hit serves the prefrozen artifact. Skipped when the inserting run
-  // already froze (it hands its artifact over) or freezing is disabled.
+  // already froze (it hands its artifact over).
   double freeze_seconds = 0;
-  bool froze_here = false;
-  if (frozen == nullptr && FrozenTreesEnabled() &&
-      tree->root() != nullptr) {
+  const bool froze_here = frozen == nullptr;
+  if (froze_here) {
     Stopwatch freeze_watch;
     frozen = FrozenTree::Freeze(*tree);
     freeze_seconds = freeze_watch.ElapsedSeconds();
-    froze_here = true;
   }
 
-  entry->bytes = tree->pool().current_bytes();
-  if (frozen != nullptr) entry->bytes += frozen->ApproxBytes();
+  entry->bytes = tree->pool().current_bytes() + frozen->ApproxBytes();
   entry->tree = std::move(tree);
   entry->frozen = std::move(frozen);
   entry->leased = true;
@@ -120,9 +116,7 @@ TreeArtifactCache::Lease TreeArtifactCache::Insert(
       ++stats_.trees_frozen;
       stats_.freeze_seconds += freeze_seconds;
     }
-    if (entry->frozen != nullptr) {
-      stats_.frozen_bytes += entry->frozen->ApproxBytes();
-    }
+    stats_.frozen_bytes += entry->frozen->ApproxBytes();
     auto it = entries_.find(key);
     bool admit = entry->bytes <= byte_budget_;
     if (it != entries_.end()) {
@@ -169,11 +163,11 @@ void TreeArtifactCache::Rekey(Lease& lease, const TreeCacheKey& new_key,
     entries_.erase(it);
     entry->resident = false;
   }
-  if (refrozen != nullptr) stats_.frozen_bytes += refrozen->ApproxBytes();
+  stats_.frozen_bytes += refrozen->ApproxBytes();
   entry->key = new_key;
   entry->frozen = std::move(refrozen);
-  entry->bytes = entry->tree->pool().current_bytes();
-  if (entry->frozen != nullptr) entry->bytes += entry->frozen->ApproxBytes();
+  entry->bytes =
+      entry->tree->pool().current_bytes() + entry->frozen->ApproxBytes();
   ++stats_.rekeys;
 
   // Re-admit under the new key, mirroring Insert's existing-entry handling.
@@ -271,12 +265,8 @@ KeyDiscoveryResult ProfileWithTreeCache(
   }
   if (lease.valid()) {
     if (tree_cache_hit != nullptr) *tree_cache_hit = true;
-    session.set_shared_tree(lease.tree());
-    // Serve the prefrozen artifact too, when the entry carries one: the run
-    // then skips both the build and the freeze pass.
-    if (lease.frozen() != nullptr) {
-      session.set_shared_frozen_tree(lease.frozen());
-    }
+    // The run skips both the build and the freeze pass.
+    session.set_shared_frozen_tree(lease.frozen());
     (void)session.Run(table, &result);
   } else {
     (void)session.Run(table, &result);
@@ -287,8 +277,8 @@ KeyDiscoveryResult ProfileWithTreeCache(
       // references, leaving the tree byte-identical to freshly built.
       // Runs that never built a tree (null-projection hand-off, cancelled
       // before the build stage) return null from TakeTree. Duplicate-entity
-      // trees are cacheable too — a rerun hits and re-derives no_keys.
-      // The run's frozen artifact (if the frozen path was on) is admitted
+      // trees are cacheable too — a rerun hits and re-derives no_keys from
+      // the frozen artifact. The run's frozen artifact is admitted
       // alongside, so Insert does not refreeze.
       lease = cache->Insert(
           MakeTreeCacheKey(fingerprint, table.num_columns(), options),

@@ -47,11 +47,13 @@ struct TreeCacheKeyHash {
 TreeCacheKey MakeTreeCacheKey(uint64_t fingerprint, int num_columns,
                               const GordianOptions& options);
 
-// Size-bounded, thread-safe cache of built PrefixTree artifacts, so
-// profiling jobs against an unchanged table skip BuildPrefixTree entirely.
-// Entries are ref-counted (shared_ptr plus an exclusive lease bit) and
-// evicted LRU under a byte budget measured by each tree's own NodePool
-// accounting.
+// Size-bounded, thread-safe cache of built prefix-tree artifacts, so
+// profiling jobs against an unchanged table skip the tree build and the
+// freeze entirely. Each entry holds the FrozenTree that hits traverse plus
+// the pointer PrefixTree it was frozen from, which only appends use (they
+// absorb delta rows into it in place and refreeze). Entries are ref-counted
+// (shared_ptr plus an exclusive lease bit) and evicted LRU under a byte
+// budget: the pointer tree's NodePool bytes plus the frozen layout's.
 //
 // Leases are exclusive: traversal temporarily mutates node reference counts
 // (merge sharing), so a tree can serve only one run at a time. A second
@@ -89,11 +91,11 @@ class TreeArtifactCache {
     }
 
     bool valid() const { return entry_ != nullptr; }
+    // The pointer tree, for appends that absorb rows into it.
     PrefixTree* tree() const;
-    // The prefrozen flat layout stored alongside the tree, or nullptr when
-    // freezing was disabled when the entry was admitted. Hits inject it via
-    // ProfileSession::set_shared_frozen_tree so the run skips the freeze
-    // pass as well as the build.
+    // The prefrozen flat layout (non-null for every entry). Hits inject it
+    // via ProfileSession::set_shared_frozen_tree so the run skips the build
+    // and the freeze.
     FrozenTree* frozen() const;
 
     // Drops the lease early (before destruction).
@@ -119,19 +121,19 @@ class TreeArtifactCache {
   // key; if the existing entry is leased, the new tree is kept lease-only
   // and not admitted.
   //
-  // `frozen` is the flat layout to serve alongside the tree. When null and
-  // freezing is enabled process-wide, Insert freezes the tree itself — the
-  // freeze is paid once here, and every subsequent hit serves the prefrozen
-  // artifact (freeze_seconds = 0 on hits). Callers whose profiling run
-  // already froze the tree hand the artifact over instead
-  // (ProfileSession::TakeFrozenTree), making insertion free of refreezing.
+  // `frozen` is the flat layout to serve alongside the tree. When null,
+  // Insert freezes the tree itself — the freeze is paid once here, and every
+  // subsequent hit serves the prefrozen artifact (freeze_seconds = 0 on
+  // hits). Callers whose profiling run already froze the tree hand the
+  // artifact over instead (ProfileSession::TakeFrozenTree), making insertion
+  // free of refreezing.
   Lease Insert(const TreeCacheKey& key, std::unique_ptr<PrefixTree> tree,
                std::unique_ptr<FrozenTree> frozen = nullptr);
 
   // Lease upgrade for appends: re-registers `lease`'s entry under `new_key`
   // (the fingerprint after a delta was absorbed into the leased tree),
-  // replaces its frozen artifact with `refrozen` (may be null — e.g.
-  // freezing disabled), and re-measures its bytes. The old key's resident
+  // replaces its frozen artifact with `refrozen` (non-null: the absorbed
+  // tree's fresh flattening), and re-measures its bytes. The old key's resident
   // slot is unlinked; the entry is re-admitted under the new key when it
   // fits the budget, following Insert's existing-entry discipline (an
   // unleased twin is replaced; a leased twin keeps this entry lease-only).
@@ -157,7 +159,7 @@ class TreeArtifactCache {
     int64_t rekeys = 0;       // lease upgrades (absorbed appends)
     int64_t evictions = 0;
     int64_t entries = 0;      // resident now
-    int64_t bytes = 0;        // resident now, per NodePool accounting
+    int64_t bytes = 0;        // resident now (pool + frozen bytes)
     int64_t trees_frozen = 0;     // freezes Insert performed itself
     double freeze_seconds = 0;    // wall clock of those freezes
     int64_t frozen_bytes = 0;     // flat-layout bytes admitted (lifetime)
@@ -192,8 +194,8 @@ class TreeArtifactCache {
 
 // The acquire → run → insert composition every tree-cache-aware caller
 // (profiling service, index advisor, benches) shares: leases a cached tree
-// when available, runs the default profiling plan over `table` (injecting
-// the tree on a hit), and admits the freshly built tree on a miss. With
+// when available, runs a ProfileSession over `table` (injecting the frozen
+// tree on a hit), and admits the freshly built tree on a miss. With
 // `cache` null this is exactly FindKeys. `tree_cache_hit` (optional)
 // reports whether the run skipped tree building; `stage_metrics` (optional)
 // receives the session's per-stage wall/bytes.

@@ -1,6 +1,6 @@
 // Tests for the frozen prefix-tree (core/frozen_tree.h): flat-layout
 // invariants after Freeze, byte-identical equivalence of the frozen
-// traversal against the pointer-tree baseline (serial and parallel,
+// traversal against the reference NonKeyFinder (serial and parallel,
 // complete and aborted runs), SIMD kernel agreement with the scalar
 // reference, and the tree-cache integration that serves prefrozen
 // artifacts on hits.
@@ -19,6 +19,7 @@
 #include <vector>
 
 #include "core/gordian.h"
+#include "core/non_key_finder.h"
 #include "core/non_key_set.h"
 #include "core/pipeline.h"
 #include "core/prefix_tree.h"
@@ -39,14 +40,6 @@ Table MakeTable(int64_t rows, uint64_t seed, int columns = 6) {
   Status s = GenerateSynthetic(spec, &t);
   EXPECT_TRUE(s.ok());
   return t;
-}
-
-// The pointer-tree run every frozen run is compared against: serial,
-// frozen path forced off.
-KeyDiscoveryResult PointerBaseline(const Table& t, GordianOptions opt) {
-  opt.traversal_threads = -1;
-  opt.frozen_traversal = false;
-  return FindKeys(t, opt);
 }
 
 void ExpectSameReport(const Table& table, const KeyDiscoveryResult& a,
@@ -130,16 +123,12 @@ TEST(FrozenTraversalTest, SerialMatchesPointerBaseline) {
   for (uint64_t seed : {3u, 17u, 41u}) {
     Table t = MakeTable(2500, seed);
     GordianOptions opt;
-    KeyDiscoveryResult baseline = PointerBaseline(t, opt);
+    KeyDiscoveryResult baseline = ReferenceFindKeys(t, opt);
 
     GordianOptions froz = opt;
     froz.traversal_threads = -1;
-    froz.frozen_traversal = true;
     KeyDiscoveryResult frozen = FindKeys(t, froz);
-    if (FrozenTreesEnabled()) {
-      EXPECT_TRUE(frozen.stats.frozen_traversal_used);
-      EXPECT_GT(frozen.stats.frozen_tree_bytes, 0);
-    }
+    EXPECT_GT(frozen.stats.frozen_tree_bytes, 0);
     ExpectSameReport(t, baseline, frozen);
     ExpectSameCounters(baseline.stats, frozen.stats);
   }
@@ -149,11 +138,10 @@ TEST(FrozenTraversalTest, ParallelMatchesPointerBaseline) {
   for (uint64_t seed : {7u, 29u}) {
     Table t = MakeTable(2500, seed);
     GordianOptions opt;
-    KeyDiscoveryResult baseline = PointerBaseline(t, opt);
+    KeyDiscoveryResult baseline = ReferenceFindKeys(t, opt);
 
     GordianOptions par = opt;
     par.traversal_threads = 8;
-    par.frozen_traversal = true;
     KeyDiscoveryResult frozen = FindKeys(t, par);
     ExpectSameReport(t, baseline, frozen);
     // Work counters are timing-dependent in parallel mode (futility pruning
@@ -178,11 +166,10 @@ TEST(FrozenTraversalTest, RandomizedFuzzAcrossShapes) {
     GordianOptions opt;
     opt.tree_build = (round % 2 == 0) ? GordianOptions::TreeBuild::kSorted
                                       : GordianOptions::TreeBuild::kInsertion;
-    KeyDiscoveryResult baseline = PointerBaseline(t, opt);
+    KeyDiscoveryResult baseline = ReferenceFindKeys(t, opt);
 
     GordianOptions froz = opt;
     froz.traversal_threads = (round % 3 == 0) ? 8 : -1;
-    froz.frozen_traversal = true;
     KeyDiscoveryResult frozen = FindKeys(t, froz);
     ExpectSameReport(t, baseline, frozen);
     if (froz.traversal_threads < 0) {
@@ -195,13 +182,12 @@ TEST(FrozenTraversalTest, NonKeyBudgetAbortMatchesPointerBaseline) {
   Table t = MakeTable(3000, 53);
   GordianOptions opt;
   opt.max_non_keys = 2;
-  KeyDiscoveryResult baseline = PointerBaseline(t, opt);
+  KeyDiscoveryResult baseline = ReferenceFindKeys(t, opt);
   ASSERT_TRUE(baseline.incomplete);
   EXPECT_EQ(baseline.incomplete_reason, AbortReason::kNonKeyBudget);
 
   GordianOptions froz = opt;
   froz.traversal_threads = -1;
-  froz.frozen_traversal = true;
   KeyDiscoveryResult frozen = FindKeys(t, froz);
   ExpectSameReport(t, baseline, frozen);
   ExpectSameCounters(baseline.stats, frozen.stats);
@@ -213,7 +199,6 @@ TEST(FrozenTraversalTest, PreCancelledRunAbortsWithCancelled) {
   GordianOptions opt;
   opt.cancel_flag = &cancel;
   opt.traversal_threads = -1;
-  opt.frozen_traversal = true;
   KeyDiscoveryResult r = FindKeys(t, opt);
   EXPECT_TRUE(r.incomplete);
   EXPECT_EQ(r.incomplete_reason, AbortReason::kCancelled);
@@ -245,16 +230,6 @@ TEST(FrozenTraversalTest, AbortedRunFullyUnwindsFrozenRefs) {
   FrozenNonKeyFinder second(*frozen, opt2, &set2, &stats2);
   EXPECT_TRUE(second.Run());
   EXPECT_TRUE(frozen->AllRefsAreOne());
-}
-
-TEST(FrozenTraversalTest, OptionFlagForcesPointerPath) {
-  Table t = MakeTable(1200, 67);
-  GordianOptions opt;
-  opt.frozen_traversal = false;
-  KeyDiscoveryResult r = FindKeys(t, opt);
-  EXPECT_FALSE(r.stats.frozen_traversal_used);
-  EXPECT_EQ(r.stats.frozen_tree_bytes, 0);
-  EXPECT_FALSE(ResolveFrozenTraversal(opt));
 }
 
 TEST(FrozenSimdTest, KernelsAgreeWithScalarReference) {
@@ -291,7 +266,6 @@ TEST(FrozenSimdTest, KernelsAgreeWithScalarReference) {
 }
 
 TEST(FrozenTreeCacheTest, HitServesPrefrozenArtifact) {
-  if (!FrozenTreesEnabled()) GTEST_SKIP() << "GORDIAN_FROZEN=0";
   Table t = MakeTable(1500, 71);
   GordianOptions opt;
   const uint64_t fp = TableFingerprint(t);
@@ -300,7 +274,7 @@ TEST(FrozenTreeCacheTest, HitServesPrefrozenArtifact) {
   bool hit = false;
   KeyDiscoveryResult first = ProfileWithTreeCache(t, opt, fp, &cache, &hit);
   EXPECT_FALSE(hit);
-  EXPECT_TRUE(first.stats.frozen_traversal_used);
+  EXPECT_GT(first.stats.frozen_tree_bytes, 0);
   EXPECT_GT(first.stats.freeze_seconds, 0.0);
   // The miss admitted the run's own frozen artifact; Insert refroze nothing.
   TreeArtifactCache::Stats cs = cache.GetStats();
@@ -309,7 +283,7 @@ TEST(FrozenTreeCacheTest, HitServesPrefrozenArtifact) {
 
   KeyDiscoveryResult second = ProfileWithTreeCache(t, opt, fp, &cache, &hit);
   EXPECT_TRUE(hit);
-  EXPECT_TRUE(second.stats.frozen_traversal_used);
+  EXPECT_EQ(second.stats.frozen_tree_bytes, first.stats.frozen_tree_bytes);
   // A hit pays neither build nor freeze: the prefrozen twin was injected.
   EXPECT_EQ(second.stats.freeze_seconds, 0.0);
   ExpectSameReport(t, first, second);

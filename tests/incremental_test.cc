@@ -5,7 +5,7 @@
 // prior non-keys — produces, after every batch, a report byte-identical to
 // a from-scratch FindKeys over the concatenated table. The oracle is fuzzed
 // over randomized schemas/datasets and the full execution matrix
-// (serial/parallel x frozen/pointer x warm on/off), plus directed tests for
+// (serial/parallel x warm on/off), plus directed tests for
 // cancellation mid-absorb, budget aborts, spilled base tables, the
 // monotonicity property, the service's AppendAndReprofile path, and the
 // streaming profiler's keys-current mode and ingest accounting.
@@ -23,6 +23,7 @@
 
 #include "core/gordian.h"
 #include "core/incremental.h"
+#include "core/non_key_finder.h"
 #include "core/report.h"
 #include "core/streaming.h"
 #include "service/profiling_service.h"
@@ -114,14 +115,9 @@ std::string Canon(const Table& t, KeyDiscoveryResult r) {
 }
 
 // The from-scratch oracle is pinned to the most basic execution mode —
-// serial pointer-tree, cold — so every incremental configuration is
-// compared against one fixed baseline.
-KeyDiscoveryResult Oracle(const Table& t) {
-  GordianOptions opts;
-  opts.traversal_threads = -1;
-  opts.frozen_traversal = false;
-  return FindKeys(t, opts);
-}
+// the serial reference NonKeyFinder over the pointer tree, cold — so every
+// incremental configuration is compared against one fixed baseline.
+KeyDiscoveryResult Oracle(const Table& t) { return ReferenceFindKeys(t); }
 
 // ---------------------------------------------------------------------------
 // The core oracle, fuzzed over the execution matrix.
@@ -152,29 +148,25 @@ TEST(AppendEquivalence, IncrementalMatchesFromScratchAcrossMatrix) {
     const Table base = Concat(schema, {batches[0]});
 
     for (int threads : {-1, 2}) {
-      for (bool frozen : {false, true}) {
-        for (bool warm : {false, true}) {
-          SCOPED_TRACE("iter=" + std::to_string(iter) +
-                       " threads=" + std::to_string(threads) +
-                       " frozen=" + std::to_string(frozen) +
-                       " warm=" + std::to_string(warm));
-          GordianOptions opts;
-          opts.traversal_threads = threads;
-          opts.frozen_traversal = frozen;
-          IncrementalProfiler prof;
-          ASSERT_TRUE(IncrementalProfiler::Begin(base, opts, &prof).ok());
-          prof.set_warm_start(warm);
+      for (bool warm : {false, true}) {
+        SCOPED_TRACE("iter=" + std::to_string(iter) +
+                     " threads=" + std::to_string(threads) +
+                     " warm=" + std::to_string(warm));
+        GordianOptions opts;
+        opts.traversal_threads = threads;
+        IncrementalProfiler prof;
+        ASSERT_TRUE(IncrementalProfiler::Begin(base, opts, &prof).ok());
+        prof.set_warm_start(warm);
 
-          std::vector<RowBatch> prefix = {batches[0]};
-          for (size_t b = 1; b < batches.size(); ++b) {
-            ASSERT_TRUE(prof.Append(batches[b]).ok());
-            prefix.push_back(batches[b]);
-            const Table concat = Concat(schema, prefix);
-            EXPECT_EQ(prof.fingerprint(), TableFingerprint(concat));
-            EXPECT_TRUE(prof.current());
-            EXPECT_EQ(Canon(concat, prof.report()),
-                      Canon(concat, Oracle(concat)));
-          }
+        std::vector<RowBatch> prefix = {batches[0]};
+        for (size_t b = 1; b < batches.size(); ++b) {
+          ASSERT_TRUE(prof.Append(batches[b]).ok());
+          prefix.push_back(batches[b]);
+          const Table concat = Concat(schema, prefix);
+          EXPECT_EQ(prof.fingerprint(), TableFingerprint(concat));
+          EXPECT_TRUE(prof.current());
+          EXPECT_EQ(Canon(concat, prof.report()),
+                    Canon(concat, Oracle(concat)));
         }
       }
     }

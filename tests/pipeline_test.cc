@@ -1,7 +1,7 @@
-// Tests for the staged profiling pipeline (core/pipeline.h): the default
-// plan must reproduce FindKeys byte-for-byte in serial and parallel
-// traversal modes, shared-tree runs must match fresh runs and leave the
-// injected tree reusable, and per-stage metrics must cover the executed
+// Tests for the staged profiling pipeline (core/pipeline.h): a session
+// must reproduce FindKeys byte-for-byte in serial and parallel traversal
+// modes, shared-tree runs must match fresh runs and leave the injected
+// frozen tree reusable, and per-stage metrics must cover the executed
 // stages.
 
 #include <gtest/gtest.h>
@@ -11,6 +11,7 @@
 #include <string>
 #include <vector>
 
+#include "core/frozen_tree.h"
 #include "core/gordian.h"
 #include "core/pipeline.h"
 #include "core/prefix_tree.h"
@@ -45,7 +46,7 @@ void ExpectSameReport(const Table& table, const KeyDiscoveryResult& a,
   }
 }
 
-TEST(PipelineTest, DefaultPlanMatchesFindKeysSerial) {
+TEST(PipelineTest, SessionMatchesFindKeysSerial) {
   Table t = MakeTable(3000, 17);
   GordianOptions opt;
   opt.traversal_threads = -1;  // pin serial regardless of GORDIAN_THREADS
@@ -83,21 +84,23 @@ TEST(PipelineTest, SharedTreeRunMatchesFreshRunAndTreeStaysReusable) {
   ProfileSession builder(opt);
   KeyDiscoveryResult first;
   ASSERT_TRUE(builder.Run(t, &first).ok());
-  std::unique_ptr<PrefixTree> tree = builder.TakeTree();
-  ASSERT_NE(tree, nullptr);
-  const int64_t pristine_bytes = tree->pool().current_bytes();
+  ASSERT_NE(builder.TakeTree(), nullptr);
+  std::unique_ptr<FrozenTree> frozen = builder.TakeFrozenTree();
+  ASSERT_NE(frozen, nullptr);
 
-  // Traversal temporarily mutates node refcounts on the shared tree; after
-  // each run the tree must come back byte-identical, so it can serve an
+  // Traversal temporarily mutates reference counts on the shared tree;
+  // after each run the tree must come back identical, so it can serve an
   // unbounded sequence of runs.
   for (int round = 0; round < 3; ++round) {
     ProfileSession reuser(opt);
-    reuser.set_shared_tree(tree.get());
+    reuser.set_shared_frozen_tree(frozen.get());
     KeyDiscoveryResult reused;
     ASSERT_TRUE(reuser.Run(t, &reused).ok());
     ExpectSameReport(t, baseline, reused);
-    EXPECT_EQ(tree->pool().current_bytes(), pristine_bytes);
+    EXPECT_EQ(reused.stats.freeze_seconds, 0.0);
+    EXPECT_TRUE(frozen->AllRefsAreOne());
     EXPECT_EQ(reuser.TakeTree(), nullptr);  // run built nothing
+    EXPECT_EQ(reuser.TakeFrozenTree(), nullptr);
   }
 }
 
@@ -110,16 +113,17 @@ TEST(PipelineTest, SharedTreeRunMatchesUnderParallelTraversal) {
   ProfileSession builder(serial);
   KeyDiscoveryResult first;
   ASSERT_TRUE(builder.Run(t, &first).ok());
-  std::unique_ptr<PrefixTree> tree = builder.TakeTree();
-  ASSERT_NE(tree, nullptr);
+  std::unique_ptr<FrozenTree> frozen = builder.TakeFrozenTree();
+  ASSERT_NE(frozen, nullptr);
 
   GordianOptions par;
   par.traversal_threads = 8;
   ProfileSession reuser(par);
-  reuser.set_shared_tree(tree.get());
+  reuser.set_shared_frozen_tree(frozen.get());
   KeyDiscoveryResult reused;
   ASSERT_TRUE(reuser.Run(t, &reused).ok());
   ExpectSameReport(t, baseline, reused);
+  EXPECT_TRUE(frozen->AllRefsAreOne());
 }
 
 TEST(PipelineTest, SampledRunMatchesFindKeys) {

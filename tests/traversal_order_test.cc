@@ -1,16 +1,22 @@
 // Specification tests for the segment processing order (the paper's
-// Figure 9): with pruning disabled, NonKeyFinder must examine, for a single
+// Figure 9): with pruning disabled, the traversal must examine, for a single
 // slice over attributes X, Y, Z, the segments in the order
 //   XYZ, XY, XZ, X, YZ, Y, Z
 // — each level's attribute is projected out only after everything beneath
 // it was explored, which is exactly what makes the covered-first pruning
 // opportunities of Section 3.4 possible.
+//
+// Every case runs on both finders — the production FrozenNonKeyFinder and
+// the reference NonKeyFinder — and first asserts that their observer event
+// sequences are identical.
 
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <string>
 #include <vector>
 
+#include "core/frozen_tree.h"
 #include "core/non_key_finder.h"
 #include "core/prefix_tree.h"
 #include "table/table.h"
@@ -35,16 +41,46 @@ class RecordingObserver : public TraversalObserver {
   std::vector<std::pair<std::string, int>> prunes;
 };
 
-RecordingObserver RunWithObserver(const Table& t, const GordianOptions& o) {
-  RecordingObserver obs;
+enum class Finder { kReference, kFrozen };
+
+std::string FinderName(const ::testing::TestParamInfo<Finder>& info) {
+  return info.param == Finder::kReference ? "Reference" : "Frozen";
+}
+
+// Runs `finder` over `t` in schema order, reporting to `obs` (may be null);
+// returns the discovered non-keys.
+std::vector<AttributeSet> RunFinder(Finder finder, const Table& t,
+                                    const GordianOptions& o,
+                                    TraversalObserver* obs) {
   std::vector<int> order(t.num_columns());
   for (size_t i = 0; i < order.size(); ++i) order[i] = static_cast<int>(i);
   PrefixTree tree = PrefixTree::Build(t, order, o.tree_build);
   GordianStats stats;
   NonKeySet set(&stats);
-  NonKeyFinder finder(tree, o, &set, &stats, &obs);
-  EXPECT_TRUE(finder.Run());
-  return obs;
+  if (finder == Finder::kReference) {
+    NonKeyFinder f(tree, o, &set, &stats, obs);
+    EXPECT_TRUE(f.Run());
+  } else {
+    std::unique_ptr<FrozenTree> frozen = FrozenTree::Freeze(tree);
+    FrozenNonKeyFinder f(*frozen, o, &set, &stats, obs);
+    EXPECT_TRUE(f.Run());
+  }
+  return set.non_keys();
+}
+
+class TraversalOrder : public ::testing::TestWithParam<Finder> {};
+
+// The event sequence of the finder under test, after asserting that both
+// finders fire exactly the same one.
+RecordingObserver RunWithObserver(const Table& t, const GordianOptions& o) {
+  RecordingObserver reference, frozen;
+  RunFinder(Finder::kReference, t, o, &reference);
+  RunFinder(Finder::kFrozen, t, o, &frozen);
+  EXPECT_EQ(reference.segments, frozen.segments);
+  EXPECT_EQ(reference.non_keys, frozen.non_keys);
+  EXPECT_EQ(reference.merges, frozen.merges);
+  EXPECT_EQ(reference.prunes, frozen.prunes);
+  return TraversalOrder::GetParam() == Finder::kReference ? reference : frozen;
 }
 
 // A dense 3-attribute table (several values everywhere, duplicates in every
@@ -62,7 +98,7 @@ Table DenseThreeAttrTable() {
   return b.Build();
 }
 
-TEST(TraversalOrder, Figure9SegmentOrderWithoutPruning) {
+TEST_P(TraversalOrder, Figure9SegmentOrderWithoutPruning) {
   GordianOptions o;
   o.singleton_pruning = false;
   o.futility_pruning = false;
@@ -91,7 +127,7 @@ TEST(TraversalOrder, Figure9SegmentOrderWithoutPruning) {
   EXPECT_EQ(first_seen, expected);
 }
 
-TEST(TraversalOrder, EverySegmentIsVisitedWithoutPruning) {
+TEST_P(TraversalOrder, EverySegmentIsVisitedWithoutPruning) {
   GordianOptions o;
   o.singleton_pruning = false;
   o.futility_pruning = false;
@@ -114,7 +150,7 @@ TEST(TraversalOrder, EverySegmentIsVisitedWithoutPruning) {
   }
 }
 
-TEST(TraversalOrder, DuplicatesInEveryProjectionYieldNonKeyEvents) {
+TEST_P(TraversalOrder, DuplicatesInEveryProjectionYieldNonKeyEvents) {
   GordianOptions o;
   RecordingObserver obs = RunWithObserver(DenseThreeAttrTable(), o);
   // In the dense table, XY (and everything below) has duplicates, so
@@ -125,7 +161,7 @@ TEST(TraversalOrder, DuplicatesInEveryProjectionYieldNonKeyEvents) {
   EXPECT_EQ(obs.non_keys.front(), (AttributeSet{0, 1}));
 }
 
-TEST(TraversalOrder, MergeEventsAreBottomUpPerSlice) {
+TEST_P(TraversalOrder, MergeEventsAreBottomUpPerSlice) {
   GordianOptions o;
   o.singleton_pruning = false;
   o.futility_pruning = false;
@@ -151,7 +187,7 @@ TEST(TraversalOrder, MergeEventsAreBottomUpPerSlice) {
   }
 }
 
-TEST(TraversalOrder, PruningEventsCarryTheirKind) {
+TEST_P(TraversalOrder, PruningEventsCarryTheirKind) {
   // Correlated-ish data with shared subtrees triggers singleton pruning.
   TableBuilder b(Schema(std::vector<std::string>{"a", "b", "c"}));
   for (int i = 0; i < 40; ++i) {
@@ -171,25 +207,17 @@ TEST(TraversalOrder, PruningEventsCarryTheirKind) {
   EXPECT_TRUE(saw_known_kind);
 }
 
-TEST(TraversalOrder, ObserverDoesNotChangeResults) {
+TEST_P(TraversalOrder, ObserverDoesNotChangeResults) {
   Table t = DenseThreeAttrTable();
   GordianOptions o;
   RecordingObserver obs;
-  std::vector<int> order = {0, 1, 2};
-  PrefixTree tree1 = PrefixTree::Build(t, order, o.tree_build);
-  GordianStats s1;
-  NonKeySet set1(&s1);
-  NonKeyFinder f1(tree1, o, &set1, &s1, &obs);
-  EXPECT_TRUE(f1.Run());
-
-  PrefixTree tree2 = PrefixTree::Build(t, order, o.tree_build);
-  GordianStats s2;
-  NonKeySet set2(&s2);
-  NonKeyFinder f2(tree2, o, &set2, &s2, nullptr);
-  EXPECT_TRUE(f2.Run());
-
-  EXPECT_EQ(set1.non_keys(), set2.non_keys());
+  EXPECT_EQ(RunFinder(GetParam(), t, o, &obs),
+            RunFinder(GetParam(), t, o, nullptr));
 }
+
+INSTANTIATE_TEST_SUITE_P(BothFinders, TraversalOrder,
+                         ::testing::Values(Finder::kReference, Finder::kFrozen),
+                         FinderName);
 
 }  // namespace
 }  // namespace gordian

@@ -30,7 +30,7 @@ Table MakeTable(int64_t rows, uint64_t seed, int columns = 5) {
   return t;
 }
 
-// Builds the prefix tree the default plan would build for (table, options).
+// Builds the prefix tree a profiling run would build for (table, options).
 std::unique_ptr<PrefixTree> BuildTree(const Table& t,
                                       const GordianOptions& opt) {
   ProfileSession session(opt);
@@ -42,12 +42,11 @@ std::unique_ptr<PrefixTree> BuildTree(const Table& t,
 }
 
 // The byte footprint one cache entry for `tree` will occupy: the pool's
-// bytes plus (when freezing is on) the flat layout admitted alongside.
-// The budget-sensitive tests below size their caches in this unit.
+// bytes plus the flat layout admitted alongside. The budget-sensitive tests
+// below size their caches in this unit.
 int64_t EntryFootprint(const PrefixTree& tree) {
-  int64_t bytes = const_cast<PrefixTree&>(tree).pool().current_bytes();
-  if (FrozenTreesEnabled()) bytes += FrozenTree::Freeze(tree)->ApproxBytes();
-  return bytes;
+  return const_cast<PrefixTree&>(tree).pool().current_bytes() +
+         FrozenTree::Freeze(tree)->ApproxBytes();
 }
 
 TEST(TreeCacheKeyTest, DistinguishesTreeShapingOptions) {
@@ -246,6 +245,31 @@ TEST(TreeCacheTest, ProfileWithTreeCacheReusesTreeAndMatchesFindKeys) {
   KeyDiscoveryResult plain = ProfileWithTreeCache(t, opt, fp, nullptr, &hit);
   EXPECT_FALSE(hit);
   EXPECT_EQ(FormatResult(t, baseline), FormatResult(t, plain));
+}
+
+TEST(TreeCacheTest, DuplicateEntityTreeHitRederivesNoKeys) {
+  // Two columns of cardinality 2 over 200 rows guarantee duplicate
+  // entities. The tree is still cached; the hit re-derives no_keys from the
+  // frozen artifact alone.
+  SyntheticSpec spec = UniformSpec(2, 200, 2, 0.0, 53);
+  spec.ensure_unique_rows = false;
+  Table t;
+  ASSERT_TRUE(GenerateSynthetic(spec, &t).ok());
+  GordianOptions opt;
+  const uint64_t fp = TableFingerprint(t);
+  KeyDiscoveryResult baseline = FindKeys(t, opt);
+  ASSERT_TRUE(baseline.no_keys);
+
+  TreeArtifactCache cache;
+  bool hit = true;
+  KeyDiscoveryResult cold = ProfileWithTreeCache(t, opt, fp, &cache, &hit);
+  EXPECT_FALSE(hit);
+  KeyDiscoveryResult warm = ProfileWithTreeCache(t, opt, fp, &cache, &hit);
+  EXPECT_TRUE(hit);
+  EXPECT_TRUE(warm.no_keys);
+  EXPECT_EQ(warm.non_keys, baseline.non_keys);
+  EXPECT_EQ(FormatResult(t, baseline), FormatResult(t, cold));
+  EXPECT_EQ(FormatResult(t, baseline), FormatResult(t, warm));
 }
 
 TEST(TreeCacheTest, ServiceJobsReuseTreesAcrossRepeatedProfiles) {
