@@ -457,11 +457,9 @@ int main(int argc, char** argv) {
   // Budget sized to the working set: all tables' trees must stay resident,
   // or the round-robin waves thrash the LRU (each wave evicts exactly the
   // tree the next wave needs, and the hit rate collapses to zero). An
-  // entry's charge covers the mutable tree pool AND its frozen layout
-  // (~52 MB at 80k rows since freeze-on-insert landed), so the default
-  // budget is sized at ~4 GiB for the default 24 tables rather than the
-  // old 1 GiB, which silently started thrashing once frozen bytes were
-  // added to the accounting.
+  // entry's charge is its frozen layout only. The ~4 GiB default for the
+  // default 24 tables dates from when entries also carried the mutable
+  // tree pool (~52 MB per entry at 80k rows) and now leaves headroom.
   const int64_t tree_cache_mb = flags.GetInt("tree_cache_mb", 4096);
   const RepeatedRun warm = RunRepeatedTables(amort_tables, max_threads,
                                              repeats,

@@ -74,28 +74,6 @@ Status AppendState::Absorb(const RowBatch& batch) {
   return Status::OK();
 }
 
-Status AppendState::AbsorbRow(const std::vector<Value>& row) {
-  const int d = num_columns();
-  if (static_cast<int>(row.size()) != d) {
-    return Status::InvalidArgument(
-        "append row has " + std::to_string(row.size()) +
-        " columns, table has " + std::to_string(d));
-  }
-  for (int c = 0; c < d; ++c) {
-    Dictionary& dict = *dicts_[static_cast<size_t>(c)];
-    const uint32_t before = dict.size();
-    const uint32_t code = dict.Encode(row[static_cast<size_t>(c)]);
-    if (dict.size() != before) {
-      acc_.AbsorbDictValue(c, dict.Decode(code).Hash());
-    }
-    acc_.AbsorbCode(c, code);
-    codes_[static_cast<size_t>(c)].push_back(code);
-  }
-  acc_.AddRows(1);
-  ++num_rows_;
-  return Status::OK();
-}
-
 Table AppendState::Snapshot() const {
   std::vector<std::shared_ptr<Dictionary>> dicts;
   dicts.reserve(dicts_.size());
@@ -107,8 +85,7 @@ Table AppendState::Snapshot() const {
 
 Status ReprofileTree(const PrefixTree& tree, const GordianOptions& options,
                      int num_attributes, int64_t num_rows,
-                     KeyDiscoveryResult* result,
-                     std::unique_ptr<FrozenTree>* refrozen) {
+                     KeyDiscoveryResult* result) {
   if (options.sample_rows > 0) {
     return Status::InvalidArgument(
         "ReprofileTree: sampling requires the raw table");
@@ -133,7 +110,6 @@ Status ReprofileTree(const PrefixTree& tree, const GordianOptions& options,
   ctx.result.stats.freeze_seconds = freeze_watch.ElapsedSeconds();
   std::vector<StageMetric> metrics;
   RunPostEncode(&ctx, &metrics);
-  if (refrozen != nullptr) *refrozen = std::move(ctx.owned_frozen);
   *result = std::move(ctx.result);
   return Status::OK();
 }
@@ -179,12 +155,6 @@ Status IncrementalProfiler::Absorb(const RowBatch& batch) {
   return s;
 }
 
-Status IncrementalProfiler::AbsorbRow(const std::vector<Value>& row) {
-  Status s = state_.AbsorbRow(row);
-  if (s.ok()) current_ = false;
-  return s;
-}
-
 Status IncrementalProfiler::Refresh() {
   if (current_ && tree_rows_ == state_.num_rows()) return Status::OK();
   if (tree_ == nullptr) return RebuildFromScratch();
@@ -220,7 +190,7 @@ Status IncrementalProfiler::Refresh() {
   }
   KeyDiscoveryResult result;
   Status s = ReprofileTree(*tree_, opts, state_.num_columns(),
-                           state_.num_rows(), &result, nullptr);
+                           state_.num_rows(), &result);
   if (!s.ok()) return s;
   report_ = std::move(result);
   current_ = !report_.incomplete;

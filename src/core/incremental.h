@@ -57,10 +57,6 @@ class AppendState {
   // matches; a column-count mismatch is rejected before any state changes.
   Status Absorb(const RowBatch& batch);
 
-  // Encodes and appends a single entity (the streaming profiler's
-  // row-at-a-time face). Assigns the same codes as a one-row batch.
-  Status AbsorbRow(const std::vector<Value>& row);
-
   // A point-in-time immutable Table equal to base + all absorbed batches.
   // Dictionaries are copied (not shared) so later Absorb calls leave the
   // snapshot's contents and fingerprint untouched. O(rows x columns).
@@ -95,15 +91,14 @@ class AppendState {
 // the data. `num_attributes` is the profiled table's column count
 // (== tree.num_levels()).
 //
-// The frozen artifact is returned through *refrozen (nullptr allowed) and
-// the freeze wall clock is recorded in result->stats.freeze_seconds.
+// The freeze wall clock is recorded in result->stats.freeze_seconds; the
+// frozen copy is dropped when the run returns.
 //
 // `options.sample_rows` must be 0 and null semantics kNullEqualsNull — both
 // need the raw table and are rejected with InvalidArgument.
 Status ReprofileTree(const PrefixTree& tree, const GordianOptions& options,
                      int num_attributes, int64_t num_rows,
-                     KeyDiscoveryResult* result,
-                     std::unique_ptr<FrozenTree>* refrozen);
+                     KeyDiscoveryResult* result);
 
 // Keys-current profiling of a growing table: owns the AppendState, the
 // absorbed prefix tree, and the latest report; every Append re-encodes just
@@ -144,9 +139,6 @@ class IncrementalProfiler {
   // into one Refresh.
   Status Absorb(const RowBatch& batch);
 
-  // Single-row Absorb (same coalescing semantics).
-  Status AbsorbRow(const std::vector<Value>& row);
-
   // Completes any pending tree absorption and re-runs discovery (warm-
   // started unless disabled). No-op when the report is already current.
   Status Refresh();
@@ -177,6 +169,10 @@ class IncrementalProfiler {
   // Rows already inserted into the tree (== num_rows() unless an absorb was
   // interrupted mid-batch).
   int64_t tree_rows() const { return tree_rows_; }
+  // False when no run has built a tree yet (e.g. the base profile was
+  // cancelled before its build stage); the next Refresh then rebuilds from
+  // a snapshot instead of absorbing.
+  bool has_tree() const { return tree_ != nullptr; }
   const AppendState& state() const { return state_; }
   const GordianStats& last_stats() const { return report_.stats; }
 

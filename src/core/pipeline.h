@@ -56,7 +56,7 @@ struct ProfileContext {
   std::vector<int> attr_order;
 
   // The tree build's outputs: the pointer tree this run built (kept only
-  // for callers that cache or absorb into it) and the frozen layout the
+  // for callers that absorb into it) and the frozen layout the
   // traversal runs over. `frozen` points at `owned_frozen`, or at an
   // injected artifact (a TreeArtifactCache hit, or ReprofileTree's refreeze)
   // — then the build and freeze are skipped.
@@ -124,13 +124,13 @@ class ProfileSession {
   // tree_build, traverse, convert, validate.
   const std::vector<StageMetric>& stage_metrics() const { return metrics_; }
 
-  // The pointer tree the last Run built, for callers that cache it or
-  // absorb appends into it (nullptr when a frozen tree was injected, no
-  // tree was built, or the session never ran).
+  // The pointer tree the last Run built, for IncrementalProfiler to absorb
+  // appends into (nullptr when a frozen tree was injected, no tree was
+  // built, or the session never ran).
   std::unique_ptr<PrefixTree> TakeTree() { return std::move(built_tree_); }
 
   // The frozen flattening of that tree (non-null exactly when TakeTree's
-  // tree is). Callers that cache the tree cache this alongside it.
+  // tree is), for TreeArtifactCache to admit.
   std::unique_ptr<FrozenTree> TakeFrozenTree() {
     return std::move(built_frozen_);
   }

@@ -147,17 +147,6 @@ int64_t PrefixTree::AbsorbBatch(
   return r;
 }
 
-int64_t PrefixTree::AbsorbRows(const Table& table, int64_t row_begin,
-                               const std::atomic<bool>* cancel) {
-  assert(row_begin >= 0 && row_begin <= table.num_rows());
-  std::vector<const uint32_t*> level_codes;
-  level_codes.reserve(attr_order_.size());
-  for (int c : attr_order_) {
-    level_codes.push_back(table.column_codes(c).data() + row_begin);
-  }
-  return AbsorbBatch(level_codes, table.num_rows() - row_begin, cancel);
-}
-
 PrefixTree PrefixTree::BuildSorted(const Table& table,
                                    const std::vector<int>& attr_order) {
   PrefixTree tree;

@@ -136,8 +136,8 @@ class PrefixTree {
   // invalidated, so a traversal may run immediately afterwards.
   //
   // Every node reached must be privately owned (ref_count == 1) — true for
-  // any freshly built or cache-resident tree, whose traversals restore the
-  // reference counts they temporarily bump.
+  // any built tree: production traversals run over its frozen copy, and the
+  // reference finder restores the reference counts it temporarily bumps.
   //
   // `cancel` is polled between rows; on early stop the tree is a valid
   // prefix tree of the base rows plus the absorbed prefix of the batch.
@@ -146,13 +146,6 @@ class PrefixTree {
   int64_t AbsorbBatch(const std::vector<const uint32_t*>& level_codes,
                       int64_t num_rows,
                       const std::atomic<bool>* cancel = nullptr);
-
-  // Convenience overload: absorbs rows [row_begin, table.num_rows()) of
-  // `table`, whose columns must be code-compatible with the dictionaries
-  // the tree was built over (i.e. the table is the base table plus appended
-  // rows encoded through the same first-seen dictionaries).
-  int64_t AbsorbRows(const Table& table, int64_t row_begin,
-                     const std::atomic<bool>* cancel = nullptr);
 
   Node* root() const { return root_; }
   NodePool& pool() { return *pool_; }

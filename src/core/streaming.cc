@@ -128,13 +128,7 @@ void StreamingProfiler::AddRow(const std::vector<Value>& row) {
   ++rows_seen_;
   ++ingest_.rows;
   if (reservoir_capacity_ <= 0) {
-    if (inc_ != nullptr) {
-      Status s = inc_->AbsorbRow(row);
-      assert(s.ok());
-      (void)s;
-    } else {
-      builder_.AddRow(row);
-    }
+    builder_.AddRow(row);
     return;
   }
   int64_t slot = ReservoirSlotForNextRow();
@@ -160,19 +154,13 @@ void StreamingProfiler::AddBatch(const RowBatch& batch) {
   assert(batch.num_columns() == d);
   const int64_t n = batch.num_rows();
   // Counted here — at the public boundary — and nowhere else: the same
-  // rows also flow through reservoir replacement or keys-current delta
-  // absorption below, and those internal hops must not double-count.
+  // rows also flow through reservoir replacement below, and that internal
+  // hop must not double-count.
   ++ingest_.batches;
   ingest_.rows += n;
   ingest_.bytes += batch.ByteSize();
   if (reservoir_capacity_ <= 0) {
-    if (inc_ != nullptr) {
-      Status s = inc_->Absorb(batch);
-      assert(s.ok());
-      (void)s;
-    } else {
-      builder_.AddBatch(batch);
-    }
+    builder_.AddBatch(batch);
     rows_seen_ += n;
     return;
   }
@@ -196,87 +184,8 @@ void StreamingProfiler::AddBatch(const RowBatch& batch) {
   }
 }
 
-Status StreamingProfiler::EnableKeysCurrent() {
-  if (keys_current_) return Status::OK();
-  if (reservoir_capacity_ > 0) {
-    // Reservoir mode keeps its normal ingest path; RefreshKeys()
-    // cold-profiles a snapshot of the sample.
-    keys_current_ = true;
-    return Status::OK();
-  }
-  // Full mode: promote the rows retained so far into the incremental
-  // engine (profiling them once to establish the base tree), and route
-  // subsequent ingest there instead of the builder. Options the engine
-  // cannot honour are rejected up front, before the builder is consumed.
-  if (options_.null_semantics !=
-      GordianOptions::NullSemantics::kNullEqualsNull) {
-    return Status::InvalidArgument(
-        "keys-current mode requires kNullEqualsNull semantics");
-  }
-  Table base;
-  Status s = builder_.Build(&base);
-  if (!s.ok()) return s;  // spilled ingest lost; the builder reset itself
-  builder_ = TableBuilder(schema_, spill_);
-  GordianOptions discovery = options_;
-  discovery.sample_rows = 0;
-  auto inc = std::make_unique<IncrementalProfiler>();
-  s = IncrementalProfiler::Begin(base, discovery, inc.get());
-  if (!s.ok()) return s;
-  inc_ = std::move(inc);
-  current_report_ = inc_->report();
-  keys_current_ = true;
-  return Status::OK();
-}
-
-Status StreamingProfiler::RefreshKeys() {
-  if (!keys_current_) {
-    return Status::InvalidArgument(
-        "RefreshKeys: keys-current mode is not enabled");
-  }
-  if (inc_ != nullptr) {
-    Status s = inc_->Refresh();
-    if (!s.ok()) return s;
-    current_report_ = inc_->report();
-    return Status::OK();
-  }
-  // Reservoir mode: cold profile of the current sample. The dictionaries
-  // are shared with the live reservoir only for the duration of this
-  // (synchronous) run, which never mutates them.
-  const int d = schema_.num_columns();
-  std::vector<std::vector<uint32_t>> cols(static_cast<size_t>(d));
-  for (int c = 0; c < d; ++c) {
-    cols[static_cast<size_t>(c)].reserve(static_cast<size_t>(reservoir_rows_));
-    for (int64_t r = 0; r < reservoir_rows_; ++r) {
-      cols[static_cast<size_t>(c)].push_back(
-          reservoir_codes_[static_cast<size_t>(r * d + c)]);
-    }
-  }
-  std::vector<std::shared_ptr<Dictionary>> dicts = reservoir_dicts_;
-  Table snap = Table::FromColumns(schema_, std::move(dicts), std::move(cols));
-  GordianOptions discovery = options_;
-  discovery.sample_rows = 0;
-  ProfileSession session(discovery);
-  KeyDiscoveryResult result;
-  (void)session.Run(snap, &result);
-  if (rows_seen_ > reservoir_capacity_) {
-    result.sampled = true;
-    for (DiscoveredKey& k : result.keys) {
-      k.estimated_strength = EstimatedStrengthLowerBound(snap, k.attrs);
-      k.exact_strength = -1.0;
-    }
-  }
-  current_report_ = std::move(result);
-  return Status::OK();
-}
-
 int64_t StreamingProfiler::ApproxBytes() const {
   int64_t b = builder_.ApproxBytes();
-  if (inc_ != nullptr) {
-    for (int c = 0; c < schema_.num_columns(); ++c) {
-      b += static_cast<int64_t>(inc_->state().codes(c).capacity() *
-                                sizeof(uint32_t));
-    }
-  }
   b += static_cast<int64_t>(reservoir_codes_.capacity() * sizeof(uint32_t));
   for (const auto& dict : reservoir_dicts_) b += dict->ApproxBytes();
   for (const auto& refs : code_refs_) {
@@ -294,22 +203,6 @@ KeyDiscoveryResult StreamingProfiler::Finish() {
 }
 
 Status StreamingProfiler::Finish(KeyDiscoveryResult* out) {
-  if (inc_ != nullptr) {
-    // Keys-current full mode: the incremental engine already holds the tree
-    // and the last non-keys; a final (warm) refresh is the whole run.
-    Status s = inc_->Refresh();
-    if (!s.ok()) return s;
-    *out = inc_->report();
-    inc_.reset();
-    keys_current_ = false;
-    current_report_ = KeyDiscoveryResult{};
-    builder_ = TableBuilder(schema_, spill_);
-    ResetReservoir();
-    rows_seen_ = 0;
-    ingest_ = IngestStats{};
-    rng_ = Random(options_.sample_seed);
-    return Status::OK();
-  }
   Table data;
   if (reservoir_capacity_ > 0) {
     // Hand the reservoir's dictionaries and code matrix to a Table without
@@ -361,8 +254,6 @@ Status StreamingProfiler::Finish(KeyDiscoveryResult* out) {
   ResetReservoir();
   rows_seen_ = 0;
   ingest_ = IngestStats{};
-  keys_current_ = false;
-  current_report_ = KeyDiscoveryResult{};
   rng_ = Random(options_.sample_seed);
   return Status::OK();
 }

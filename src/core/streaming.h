@@ -9,7 +9,6 @@
 #include "common/random.h"
 #include "common/status.h"
 #include "core/gordian.h"
-#include "core/incremental.h"
 #include "core/options.h"
 #include "table/csv.h"
 #include "table/table.h"
@@ -19,9 +18,8 @@ namespace gordian {
 // Per-source ingest accounting, owned by the profiler and reported by
 // ProfileCsvFile (and surfaced by the profiling service's metrics). Counted
 // exactly once per public AddRow/AddBatch call — internal re-encoding
-// (reservoir replacement, keys-current delta absorption) never touches it,
-// so a row contributes to `rows` once no matter how many internal paths it
-// flows through.
+// (reservoir replacement) never touches it, so a row contributes to `rows`
+// once no matter how many internal paths it flows through.
 struct IngestStats {
   int64_t batches = 0;
   int64_t rows = 0;
@@ -72,32 +70,6 @@ class StreamingProfiler {
   // Ingest accounting since construction (or the last Finish).
   const IngestStats& ingest_stats() const { return ingest_; }
 
-  // Keys-current mode: keep a discovery report available while the stream
-  // is still flowing, instead of only at Finish().
-  //
-  // In full mode the profiler promotes its retained rows into an
-  // IncrementalProfiler: enabling pays one base profile, and every
-  // RefreshKeys() after that absorbs just the delta into the standing
-  // prefix tree and re-traverses warm-started from the previous non-keys —
-  // per-refresh cost scales with the delta, not the table. In reservoir
-  // mode there is no append-only table to absorb into (replacement evicts
-  // rows), so RefreshKeys() cold-profiles a snapshot of the current sample.
-  //
-  // Can be enabled mid-stream; rows ingested so far become the base.
-  // Finish() in keys-current full mode returns the incremental engine's
-  // (refreshed) report — byte-identical, for complete runs, to what the
-  // default path computes over the same rows.
-  Status EnableKeysCurrent();
-  bool keys_current() const { return keys_current_; }
-
-  // Brings current_report() up to date with every ingested row. No-op when
-  // already current. InvalidArgument when keys-current mode is off.
-  Status RefreshKeys();
-
-  // The report RefreshKeys() last produced (default-constructed before the
-  // first refresh). Covers rows ingested up to that refresh.
-  const KeyDiscoveryResult& current_report() const { return current_report_; }
-
   // Approximate heap footprint of the ingest state: builder (full mode) or
   // code matrix + dictionaries + refcounts (reservoir mode).
   int64_t ApproxBytes() const;
@@ -129,13 +101,6 @@ class StreamingProfiler {
   TableBuilder builder_;
   int64_t rows_seen_ = 0;
   IngestStats ingest_;
-
-  // Keys-current state. In full mode `inc_` replaces `builder_` as the
-  // retained-row store once enabled; in reservoir mode only the flag and
-  // the cached report are used.
-  bool keys_current_ = false;
-  std::unique_ptr<IncrementalProfiler> inc_;
-  KeyDiscoveryResult current_report_;
 
   // Reservoir state (active when options_.sample_rows > 0).
   int64_t reservoir_capacity_ = 0;

@@ -55,9 +55,10 @@ class ServiceMetrics {
   }
 
   // One AppendAndReprofile call: the delta's row count, whether the batch
-  // was absorbed into a leased cached tree (vs. a full rebuild fallback),
-  // how many futility prunes the warm-start seeds earned in the
-  // re-traversal, and the wall clock of the re-freeze pass.
+  // was absorbed into the chain's own prefix tree (vs. a snapshot rebuild
+  // when the chain had no tree), how many futility prunes the warm-start
+  // seeds earned in the re-traversal, and the wall clock of the report's
+  // freeze pass.
   void OnAppend(int64_t delta_rows, bool tree_absorbed,
                 int64_t warm_start_prunes, double refreeze_seconds) {
     appends_.fetch_add(1, kRelaxed);

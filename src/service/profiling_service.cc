@@ -347,33 +347,15 @@ Status ProfilingService::RegisterAppendable(const std::string& name,
                                             const Table& table,
                                             const GordianOptions& options,
                                             uint64_t* fingerprint) {
-  // The chain re-profiles from the tree alone; options that need the raw
-  // table on every run cannot be honoured incrementally (and ReprofileTree
-  // would reject them on the first append — fail at registration instead).
-  if (options.sample_rows > 0) {
-    return Status::InvalidArgument(
-        "appendable chains cannot sample: a reservoir is not append-stable");
-  }
-  if (options.null_semantics !=
-      GordianOptions::NullSemantics::kNullEqualsNull) {
-    return Status::InvalidArgument(
-        "appendable chains require kNullEqualsNull: null-excluding "
-        "validation re-reads the raw table");
-  }
   auto chain = std::make_shared<Appendable>();
   chain->name = name;
-  chain->options = options;
-  Status s = AppendState::Begin(table, &chain->state);
+  Status s = IncrementalProfiler::Begin(table, options, &chain->profiler);
   if (!s.ok()) return s;
-  const uint64_t fp = chain->state.fingerprint();
-
-  // Profile the base synchronously through the tree cache, so the first
-  // append finds a resident tree to absorb into.
-  KeyDiscoveryResult result = ProfileWithTreeCache(
-      table, options, fp, tree_cache_.get(), nullptr, nullptr);
-  if (!result.incomplete) {
-    chain->last_non_keys = result.non_keys;
-    if (catalog_->Put(fp, name, table.num_columns(), result)) NotePut();
+  const uint64_t fp = chain->profiler.fingerprint();
+  const KeyDiscoveryResult& result = chain->profiler.report();
+  if (!result.incomplete &&
+      catalog_->Put(fp, name, table.num_columns(), result)) {
+    NotePut();
   }
   {
     std::lock_guard<std::mutex> lock(append_mu_);
@@ -397,88 +379,41 @@ Status ProfilingService::AppendAndReprofile(uint64_t fingerprint,
     chain = it->second;
   }
   std::lock_guard<std::mutex> chain_lock(chain->chain_mu);
-  if (chain->state.fingerprint() != fingerprint) {
+  IncrementalProfiler& profiler = chain->profiler;
+  if (profiler.fingerprint() != fingerprint) {
     // A concurrent append advanced the chain between our registry lookup
     // and taking the chain lock; callers must pass the handle the previous
     // call returned.
     return Status::InvalidArgument(
         "stale append handle: the chain has advanced past this fingerprint");
   }
-  const uint64_t old_fp = fingerprint;
-  const int64_t old_rows = chain->state.num_rows();
-  Status s = chain->state.Absorb(batch);
+  const int64_t old_rows = profiler.num_rows();
+  const bool tree_absorbed = profiler.has_tree();
+  Status s = profiler.Append(batch);
   if (!s.ok()) return s;
-  const uint64_t new_fp = chain->state.fingerprint();
-  const int64_t delta_rows = chain->state.num_rows() - old_rows;
-  const int num_columns = chain->state.num_columns();
+  const uint64_t new_fp = profiler.fingerprint();
+  const KeyDiscoveryResult& result = profiler.report();
 
-  GordianOptions run_options = chain->options;
-  if (!chain->last_non_keys.empty()) {
-    run_options.warm_start_non_keys = &chain->last_non_keys;
+  if (!result.incomplete &&
+      catalog_->Put(new_fp, chain->name, profiler.state().num_columns(),
+                    result)) {
+    NotePut();
   }
-
-  KeyDiscoveryResult result;
-  bool tree_absorbed = false;
-  double refreeze_seconds = 0;
-
-  TreeArtifactCache* cache = tree_cache_.get();
-  TreeArtifactCache::Lease lease;
-  if (cache != nullptr) {
-    lease =
-        cache->Acquire(MakeTreeCacheKey(old_fp, num_columns, chain->options));
-  }
-  if (lease.valid() && lease.tree() != nullptr &&
-      lease.tree()->root() != nullptr) {
-    // Fast path: absorb the delta into the leased tree in place and rekey
-    // the cache entry to the new fingerprint. The exclusive lease is held
-    // across both, so a concurrent Profile of the old fingerprint
-    // busy-misses and builds privately — it can never observe the tree
-    // mid-absorb.
-    PrefixTree* tree = lease.tree();
-    std::vector<const uint32_t*> level_codes;
-    level_codes.reserve(static_cast<size_t>(tree->num_levels()));
-    for (int l = 0; l < tree->num_levels(); ++l) {
-      level_codes.push_back(
-          chain->state.codes(tree->attribute_at_level(l)).data() + old_rows);
-    }
-    (void)tree->AbsorbBatch(level_codes, delta_rows);
-    std::unique_ptr<FrozenTree> refrozen;
-    Status rs = ReprofileTree(*tree, run_options, num_columns,
-                              chain->state.num_rows(), &result, &refrozen);
-    if (!rs.ok()) return rs;
-    refreeze_seconds = result.stats.freeze_seconds;
-    cache->Rekey(lease, MakeTreeCacheKey(new_fp, num_columns, chain->options),
-                 std::move(refrozen));
-    lease.Release();
-    tree_absorbed = true;
-  } else {
-    lease.Release();
-    // Slow path: the base tree is gone (evicted, cache disabled) or pinned
-    // by a concurrent run. Re-profile a snapshot — still warm-started —
-    // and admit the fresh tree under the new fingerprint.
-    Table snapshot = chain->state.Snapshot();
-    result = ProfileWithTreeCache(snapshot, run_options, new_fp, cache,
-                                  nullptr, nullptr);
-  }
-
-  if (!result.incomplete) {
-    chain->last_non_keys = result.non_keys;
-    if (catalog_->Put(new_fp, chain->name, num_columns, result)) NotePut();
-  }
-  metrics_.OnAppend(delta_rows, tree_absorbed, result.stats.warm_start_prunes,
-                    refreeze_seconds);
+  metrics_.OnAppend(profiler.num_rows() - old_rows, tree_absorbed,
+                    result.stats.warm_start_prunes,
+                    result.stats.freeze_seconds);
 
   {
     std::lock_guard<std::mutex> lock(append_mu_);
-    appendables_.erase(old_fp);
+    appendables_.erase(fingerprint);
     appendables_[new_fp] = chain;
   }
 
   if (out != nullptr) {
     out->fingerprint = new_fp;
     out->tree_absorbed = tree_absorbed;
-    out->refreeze_seconds = refreeze_seconds;
-    out->result = std::move(result);
+    out->refreeze_seconds = result.stats.freeze_seconds;
+    out->result = result;
   }
   return Status::OK();
 }

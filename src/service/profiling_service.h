@@ -34,10 +34,10 @@ struct ServiceOptions {
   // e.g. a catalog preloaded with ReadCatalogFile.
   KeyCatalog* catalog = nullptr;
 
-  // Byte budget for the prefix-tree artifact cache (LRU over built trees,
-  // measured by NodePool accounting): jobs re-profiling an unchanged table
-  // under different budgets/options skip BuildPrefixTree. 0 disables the
-  // cache.
+  // Byte budget for the prefix-tree artifact cache (LRU over frozen trees,
+  // measured by FrozenTree::ApproxBytes): jobs re-profiling an unchanged
+  // table under different budgets/options skip the tree build and freeze.
+  // 0 disables the cache. Appendable chains keep their trees outside it.
   int64_t tree_cache_bytes = TreeArtifactCache::kDefaultByteBudget;
 
   // When non-empty, the catalog is durably backed by this directory through
@@ -101,12 +101,11 @@ struct AppendOutcome {
   // next append in the chain, and the key the updated result was catalogued
   // under.
   uint64_t fingerprint = 0;
-  // True when the delta was absorbed into the cached prefix tree in place;
-  // false when the tree was unavailable (cache disabled, evicted, or leased
-  // by a concurrent run) and discovery rebuilt from a snapshot instead.
+  // True when the delta was absorbed into the chain's prefix tree in place;
+  // false only when the chain had no tree (its last run never built one)
+  // and discovery rebuilt from a snapshot instead.
   bool tree_absorbed = false;
-  // Wall clock spent re-freezing the absorbed tree (0 when the frozen
-  // layout is disabled or the rebuild path ran).
+  // Wall clock of the run's freeze pass (result.stats.freeze_seconds).
   double refreeze_seconds = 0;
   KeyDiscoveryResult result;
 };
@@ -178,30 +177,31 @@ class ProfilingService {
   void WaitAll();
 
   // Registers `table` as the base of an appendable chain and profiles it
-  // synchronously (through the tree cache, so the base tree is resident for
-  // the first append to absorb into). The chain's handle — the table's
-  // content fingerprint — is returned through *fingerprint (optional; it
-  // also lands in the catalog like any completed job). `options` is pinned
-  // for the chain's lifetime and must not require the raw table on every
-  // run: sampling and null-excluding semantics are rejected with
-  // InvalidArgument. The caller's `table` is deep-copied into append state
-  // and may be dropped afterwards.
+  // synchronously through IncrementalProfiler::Begin. The chain owns that
+  // profiler — its append state and pointer prefix tree live with the chain
+  // for its lifetime, outside the tree cache and its byte budget. The
+  // chain's handle — the table's content fingerprint — is returned through
+  // *fingerprint (optional; a complete base result also lands in the
+  // catalog). `options` is pinned for the chain's lifetime; options
+  // IncrementalProfiler::Begin rejects (sampling, null-excluding semantics)
+  // fail with InvalidArgument. The caller's `table` is deep-copied and may
+  // be dropped afterwards.
   Status RegisterAppendable(const std::string& name, const Table& table,
                             const GordianOptions& options = {},
                             uint64_t* fingerprint = nullptr);
 
   // Appends `batch` to the chain currently headed by `fingerprint` and
-  // brings its discovery result current, synchronously. The fast path
-  // acquires the chain's cached prefix tree under an exclusive lease,
-  // absorbs the delta in place, re-traverses warm-started from the prior
-  // non-keys, and rekeys the cache entry to the new fingerprint — the lease
-  // is held throughout, so a concurrent read-only Profile of the old
-  // fingerprint busy-misses rather than observing a half-absorbed tree.
-  // When the tree is unavailable the chain re-profiles a snapshot (still
-  // warm-started). Appends to the same chain serialize; `fingerprint` must
-  // be the chain's current head (the value the previous call returned) —
-  // a stale handle fails with FailedPrecondition, an unknown one with
-  // NotFound. Complete results are catalogued under the new fingerprint.
+  // brings its discovery result current, synchronously, through
+  // IncrementalProfiler::Append: the delta is absorbed into the chain's
+  // private prefix tree and re-traversed warm-started from the prior
+  // non-keys. Appends never read or write the tree cache, and no other run
+  // can see the chain's tree. Appends to the same chain serialize.
+  // `fingerprint` must be the chain's current head (the value the previous
+  // call returned): a superseded or unknown handle fails with NotFound (the
+  // registry is rekeyed to the new head after every append), and a handle
+  // that a concurrent append supersedes between the registry lookup and
+  // the chain lock fails with InvalidArgument. Complete results are
+  // catalogued under the new fingerprint.
   Status AppendAndReprofile(uint64_t fingerprint, const RowBatch& batch,
                             AppendOutcome* out = nullptr);
 
@@ -265,11 +265,7 @@ class ProfilingService {
   // current head fingerprint and rekeyed after every successful append.
   struct Appendable {
     std::string name;
-    GordianOptions options;
-    AppendState state;
-    // Non-keys of the last COMPLETE run — the warm-start seed for the next
-    // append (sound because appends never retract a non-key).
-    std::vector<AttributeSet> last_non_keys;
+    IncrementalProfiler profiler;
     std::mutex chain_mu;
   };
 

@@ -3,7 +3,6 @@
 #include <utility>
 
 #include "common/hashing.h"
-#include "common/stopwatch.h"
 
 namespace gordian {
 
@@ -38,19 +37,12 @@ TreeCacheKey MakeTreeCacheKey(uint64_t fingerprint, int num_columns,
 
 struct TreeArtifactCache::Lease::Entry {
   TreeCacheKey key;
-  // The pointer tree is kept only for appends' in-place absorb; hits
-  // traverse the frozen layout, which is never null.
-  std::unique_ptr<PrefixTree> tree;
-  std::unique_ptr<FrozenTree> frozen;
+  std::unique_ptr<FrozenTree> frozen;  // never null
   int64_t bytes = 0;
   bool leased = false;
   bool resident = false;  // linked into the map/LRU list
   std::list<TreeCacheKey>::iterator lru_it;
 };
-
-PrefixTree* TreeArtifactCache::Lease::tree() const {
-  return entry_ == nullptr ? nullptr : entry_->tree.get();
-}
 
 FrozenTree* TreeArtifactCache::Lease::frozen() const {
   return entry_ == nullptr ? nullptr : entry_->frozen.get();
@@ -88,35 +80,17 @@ TreeArtifactCache::Lease TreeArtifactCache::Acquire(const TreeCacheKey& key) {
 }
 
 TreeArtifactCache::Lease TreeArtifactCache::Insert(
-    const TreeCacheKey& key, std::unique_ptr<PrefixTree> tree,
-    std::unique_ptr<FrozenTree> frozen) {
+    const TreeCacheKey& key, std::unique_ptr<FrozenTree> frozen) {
   Lease lease;
   auto entry = std::make_shared<Lease::Entry>();
   entry->key = key;
-
-  // Freeze-on-insert: pay the flattening once, outside the lock, so every
-  // hit serves the prefrozen artifact. Skipped when the inserting run
-  // already froze (it hands its artifact over).
-  double freeze_seconds = 0;
-  const bool froze_here = frozen == nullptr;
-  if (froze_here) {
-    Stopwatch freeze_watch;
-    frozen = FrozenTree::Freeze(*tree);
-    freeze_seconds = freeze_watch.ElapsedSeconds();
-  }
-
-  entry->bytes = tree->pool().current_bytes() + frozen->ApproxBytes();
-  entry->tree = std::move(tree);
+  entry->bytes = frozen->ApproxBytes();
   entry->frozen = std::move(frozen);
   entry->leased = true;
 
   {
     std::lock_guard<std::mutex> lock(mu_);
-    if (froze_here) {
-      ++stats_.trees_frozen;
-      stats_.freeze_seconds += freeze_seconds;
-    }
-    stats_.frozen_bytes += entry->frozen->ApproxBytes();
+    stats_.frozen_bytes += entry->bytes;
     auto it = entries_.find(key);
     bool admit = entry->bytes <= byte_budget_;
     if (it != entries_.end()) {
@@ -148,53 +122,6 @@ TreeArtifactCache::Lease TreeArtifactCache::Insert(
   lease.cache_ = this;
   lease.entry_ = std::move(entry);
   return lease;
-}
-
-void TreeArtifactCache::Rekey(Lease& lease, const TreeCacheKey& new_key,
-                              std::unique_ptr<FrozenTree> refrozen) {
-  if (!lease.valid() || lease.cache_ != this) return;
-  EntryPtr entry = lease.entry_;
-  std::lock_guard<std::mutex> lock(mu_);
-  // Unlink the old key's slot. The entry itself lives on through the lease.
-  if (entry->resident) {
-    auto it = entries_.find(entry->key);
-    resident_bytes_ -= entry->bytes;
-    lru_.erase(entry->lru_it);
-    entries_.erase(it);
-    entry->resident = false;
-  }
-  stats_.frozen_bytes += refrozen->ApproxBytes();
-  entry->key = new_key;
-  entry->frozen = std::move(refrozen);
-  entry->bytes =
-      entry->tree->pool().current_bytes() + entry->frozen->ApproxBytes();
-  ++stats_.rekeys;
-
-  // Re-admit under the new key, mirroring Insert's existing-entry handling.
-  auto it = entries_.find(new_key);
-  bool admit = entry->bytes <= byte_budget_;
-  if (it != entries_.end()) {
-    if (it->second->leased) {
-      admit = false;
-    } else if (admit) {
-      resident_bytes_ -= it->second->bytes;
-      lru_.erase(it->second->lru_it);
-      it->second->resident = false;
-      entries_.erase(it);
-      ++stats_.evictions;
-    }
-  }
-  if (admit) {
-    lru_.push_front(new_key);
-    entry->lru_it = lru_.begin();
-    entry->resident = true;
-    entries_.emplace(new_key, entry);
-    resident_bytes_ += entry->bytes;
-    ++stats_.insertions;
-    EvictToBudget();
-  } else {
-    ++stats_.rejected;
-  }
 }
 
 void TreeArtifactCache::ReleaseEntry(const EntryPtr& entry) {
@@ -270,19 +197,18 @@ KeyDiscoveryResult ProfileWithTreeCache(
     (void)session.Run(table, &result);
   } else {
     (void)session.Run(table, &result);
-    std::unique_ptr<PrefixTree> built = session.TakeTree();
+    std::unique_ptr<FrozenTree> built = session.TakeFrozenTree();
     if (cache != nullptr && built != nullptr) {
       // Any built tree is cacheable: it is a pure function of the key, and
       // traversal (even an aborted one) fully unwinds its temporary node
-      // references, leaving the tree byte-identical to freshly built.
+      // references, leaving the artifact byte-identical to freshly frozen.
       // Runs that never built a tree (null-projection hand-off, cancelled
-      // before the build stage) return null from TakeTree. Duplicate-entity
-      // trees are cacheable too — a rerun hits and re-derives no_keys from
-      // the frozen artifact. The run's frozen artifact is admitted
-      // alongside, so Insert does not refreeze.
+      // before the build stage) return null from TakeFrozenTree.
+      // Duplicate-entity trees are cacheable too — a rerun hits and
+      // re-derives no_keys from the frozen artifact.
       lease = cache->Insert(
           MakeTreeCacheKey(fingerprint, table.num_columns(), options),
-          std::move(built), session.TakeFrozenTree());
+          std::move(built));
     }
   }
 

@@ -9,8 +9,8 @@
 #include <vector>
 
 #include "common/attribute_set.h"
+#include "core/frozen_tree.h"
 #include "core/pipeline.h"
-#include "core/prefix_tree.h"
 
 namespace gordian {
 
@@ -47,13 +47,12 @@ struct TreeCacheKeyHash {
 TreeCacheKey MakeTreeCacheKey(uint64_t fingerprint, int num_columns,
                               const GordianOptions& options);
 
-// Size-bounded, thread-safe cache of built prefix-tree artifacts, so
+// Size-bounded, thread-safe cache of frozen prefix-tree artifacts, so
 // profiling jobs against an unchanged table skip the tree build and the
-// freeze entirely. Each entry holds the FrozenTree that hits traverse plus
-// the pointer PrefixTree it was frozen from, which only appends use (they
-// absorb delta rows into it in place and refreeze). Entries are ref-counted
-// (shared_ptr plus an exclusive lease bit) and evicted LRU under a byte
-// budget: the pointer tree's NodePool bytes plus the frozen layout's.
+// freeze entirely. Each entry holds only the FrozenTree that hits traverse;
+// the pointer tree it was frozen from is dropped with the run that built it.
+// Entries are ref-counted (shared_ptr plus an exclusive lease bit) and
+// evicted LRU under a byte budget of FrozenTree::ApproxBytes.
 //
 // Leases are exclusive: traversal temporarily mutates node reference counts
 // (merge sharing), so a tree can serve only one run at a time. A second
@@ -91,8 +90,6 @@ class TreeArtifactCache {
     }
 
     bool valid() const { return entry_ != nullptr; }
-    // The pointer tree, for appends that absorb rows into it.
-    PrefixTree* tree() const;
     // The prefrozen flat layout (non-null for every entry). Hits inject it
     // via ProfileSession::set_shared_frozen_tree so the run skips the build
     // and the freeze.
@@ -113,37 +110,14 @@ class TreeArtifactCache {
   // by another run (busy miss — the caller builds privately).
   Lease Acquire(const TreeCacheKey& key);
 
-  // Admits a freshly built tree under `key` and returns an exclusive lease
-  // over it. The entry's size is tree->pool().current_bytes() plus the
-  // frozen artifact's ApproxBytes; an artifact larger than the whole budget
-  // is not admitted, but the returned lease still owns it, so the inserting
-  // job proceeds either way. Replaces any existing (unleased) entry for the
-  // key; if the existing entry is leased, the new tree is kept lease-only
-  // and not admitted.
-  //
-  // `frozen` is the flat layout to serve alongside the tree. When null,
-  // Insert freezes the tree itself — the freeze is paid once here, and every
-  // subsequent hit serves the prefrozen artifact (freeze_seconds = 0 on
-  // hits). Callers whose profiling run already froze the tree hand the
-  // artifact over instead (ProfileSession::TakeFrozenTree), making insertion
-  // free of refreezing.
-  Lease Insert(const TreeCacheKey& key, std::unique_ptr<PrefixTree> tree,
-               std::unique_ptr<FrozenTree> frozen = nullptr);
-
-  // Lease upgrade for appends: re-registers `lease`'s entry under `new_key`
-  // (the fingerprint after a delta was absorbed into the leased tree),
-  // replaces its frozen artifact with `refrozen` (non-null: the absorbed
-  // tree's fresh flattening), and re-measures its bytes. The old key's resident
-  // slot is unlinked; the entry is re-admitted under the new key when it
-  // fits the budget, following Insert's existing-entry discipline (an
-  // unleased twin is replaced; a leased twin keeps this entry lease-only).
-  //
-  // The lease stays valid and exclusive throughout, which is the
-  // no-half-absorbed-tree guarantee: while the absorb ran, concurrent
-  // Acquires of the old key busy-missed (entry leased); once rekeyed, the
-  // old key is simply absent. No reader can ever lease the tree in between.
-  void Rekey(Lease& lease, const TreeCacheKey& new_key,
-             std::unique_ptr<FrozenTree> refrozen);
+  // Admits a profiling run's frozen tree (ProfileSession::TakeFrozenTree,
+  // non-null) under `key` and returns an exclusive lease over it. The
+  // entry's size is frozen->ApproxBytes(); an artifact larger than the whole
+  // budget is not admitted, but the returned lease still owns it, so the
+  // inserting job proceeds either way. Replaces any existing (unleased)
+  // entry for the key; if the existing entry is leased, the new artifact is
+  // kept lease-only and not admitted.
+  Lease Insert(const TreeCacheKey& key, std::unique_ptr<FrozenTree> frozen);
 
   bool Contains(const TreeCacheKey& key) const;
   void Clear();  // drops all unleased entries
@@ -156,13 +130,10 @@ class TreeArtifactCache {
     int64_t busy_misses = 0;  // present but leased elsewhere
     int64_t insertions = 0;   // admitted entries
     int64_t rejected = 0;     // built trees not admitted (too big / key busy)
-    int64_t rekeys = 0;       // lease upgrades (absorbed appends)
     int64_t evictions = 0;
-    int64_t entries = 0;      // resident now
-    int64_t bytes = 0;        // resident now (pool + frozen bytes)
-    int64_t trees_frozen = 0;     // freezes Insert performed itself
-    double freeze_seconds = 0;    // wall clock of those freezes
-    int64_t frozen_bytes = 0;     // flat-layout bytes admitted (lifetime)
+    int64_t entries = 0;       // resident now
+    int64_t bytes = 0;         // resident now (frozen bytes)
+    int64_t frozen_bytes = 0;  // flat-layout bytes inserted (lifetime)
 
     double hit_rate() const {
       int64_t lookups = hits + misses + busy_misses;
@@ -195,7 +166,7 @@ class TreeArtifactCache {
 // The acquire → run → insert composition every tree-cache-aware caller
 // (profiling service, index advisor, benches) shares: leases a cached tree
 // when available, runs a ProfileSession over `table` (injecting the frozen
-// tree on a hit), and admits the freshly built tree on a miss. With
+// tree on a hit), and admits the run's frozen tree on a miss. With
 // `cache` null this is exactly FindKeys. `tree_cache_hit` (optional)
 // reports whether the run skipped tree building; `stage_metrics` (optional)
 // receives the session's per-stage wall/bytes.

@@ -8,7 +8,7 @@
 // (serial/parallel x warm on/off), plus directed tests for
 // cancellation mid-absorb, budget aborts, spilled base tables, the
 // monotonicity property, the service's AppendAndReprofile path, and the
-// streaming profiler's keys-current mode and ingest accounting.
+// streaming profiler's ingest accounting.
 
 #include <gtest/gtest.h>
 
@@ -412,69 +412,82 @@ TEST(FingerprintAccumulator, MatchesTableFingerprintAfterEveryBatch) {
 // Service: RegisterAppendable / AppendAndReprofile.
 
 TEST(ServiceAppend, AppendAndReprofileChainsAndCatalogs) {
-  uint64_t state = 21;
-  const Schema schema = MakeSchema(3);
-  std::vector<RowBatch> batches = {MakeBatch(3, 200, 0, &state),
-                                   MakeBatch(3, 80, 200, &state),
-                                   MakeBatch(3, 50, 280, &state)};
-  const Table base = Concat(schema, {batches[0]});
+  // The chain's tree lives with the chain, outside the tree cache: with the
+  // cache disabled, appends still absorb in place.
+  for (const int64_t cache_bytes :
+       {TreeArtifactCache::kDefaultByteBudget, int64_t{0}}) {
+    SCOPED_TRACE("tree_cache_bytes=" + std::to_string(cache_bytes));
+    uint64_t state = 21;
+    const Schema schema = MakeSchema(3);
+    std::vector<RowBatch> batches = {MakeBatch(3, 200, 0, &state),
+                                     MakeBatch(3, 80, 200, &state),
+                                     MakeBatch(3, 50, 280, &state)};
+    const Table base = Concat(schema, {batches[0]});
 
-  ServiceOptions soptions;
-  soptions.num_threads = 2;
-  ProfilingService service(soptions);
+    ServiceOptions soptions;
+    soptions.num_threads = 2;
+    soptions.tree_cache_bytes = cache_bytes;
+    ProfilingService service(soptions);
 
-  uint64_t fp = 0;
-  ASSERT_TRUE(service.RegisterAppendable("t", base, {}, &fp).ok());
-  EXPECT_EQ(fp, TableFingerprint(base));
-  EXPECT_TRUE(service.catalog().Contains(fp));
+    uint64_t fp = 0;
+    ASSERT_TRUE(service.RegisterAppendable("t", base, {}, &fp).ok());
+    EXPECT_EQ(fp, TableFingerprint(base));
+    EXPECT_TRUE(service.catalog().Contains(fp));
 
-  std::vector<RowBatch> prefix = {batches[0]};
-  uint64_t head = fp;
-  for (size_t b = 1; b < batches.size(); ++b) {
+    std::vector<RowBatch> prefix = {batches[0]};
+    uint64_t head = fp;
+    for (size_t b = 1; b < batches.size(); ++b) {
+      AppendOutcome out;
+      ASSERT_TRUE(service.AppendAndReprofile(head, batches[b], &out).ok());
+      prefix.push_back(batches[b]);
+      const Table concat = Concat(schema, prefix);
+      EXPECT_EQ(out.fingerprint, TableFingerprint(concat));
+      // The chain built its tree at registration, so every append takes
+      // the absorb path.
+      EXPECT_TRUE(out.tree_absorbed);
+      EXPECT_FALSE(out.result.incomplete);
+      EXPECT_EQ(Canon(concat, out.result), Canon(concat, Oracle(concat)));
+      EXPECT_TRUE(service.catalog().Contains(out.fingerprint));
+      head = out.fingerprint;
+    }
+
+    // Stale/unknown handles: the chain has advanced past the original
+    // fingerprint, so it is simply no longer registered.
     AppendOutcome out;
-    ASSERT_TRUE(service.AppendAndReprofile(head, batches[b], &out).ok());
-    prefix.push_back(batches[b]);
-    const Table concat = Concat(schema, prefix);
-    EXPECT_EQ(out.fingerprint, TableFingerprint(concat));
-    // The base tree was admitted at registration and never contended here,
-    // so every append takes the absorb fast path.
-    EXPECT_TRUE(out.tree_absorbed);
-    EXPECT_FALSE(out.result.incomplete);
-    EXPECT_EQ(Canon(concat, out.result), Canon(concat, Oracle(concat)));
-    EXPECT_TRUE(service.catalog().Contains(out.fingerprint));
-    head = out.fingerprint;
+    EXPECT_EQ(service.AppendAndReprofile(fp, batches[1], &out).code(),
+              Status::Code::kNotFound);
+    EXPECT_EQ(service.AppendAndReprofile(0xdeadbeef, batches[1], &out).code(),
+              Status::Code::kNotFound);
+
+    const ServiceMetrics::Snapshot m = service.Metrics();
+    EXPECT_EQ(m.appends, 2);
+    EXPECT_EQ(m.append_absorbs, 2);
+    EXPECT_EQ(m.delta_rows, 130);
+    // Neither registration nor appends read or write the tree cache.
+    if (service.tree_cache() != nullptr) {
+      const TreeArtifactCache::Stats cs = service.tree_cache()->GetStats();
+      EXPECT_EQ(cs.hits + cs.misses + cs.busy_misses, 0);
+      EXPECT_EQ(cs.entries, 0);
+    }
+
+    // Warm start engaged: the second append was seeded from the first's
+    // non-keys (counted only when the traversal actually pruned off them,
+    // so assert the seed made it through rather than a specific count).
+    EXPECT_GE(m.warm_start_prunes, 0);
+
+    // Sampling cannot be registered (re-sampling is not append-monotone).
+    GordianOptions sampling;
+    sampling.sample_rows = 16;
+    EXPECT_EQ(service.RegisterAppendable("s", base, sampling, nullptr).code(),
+              Status::Code::kInvalidArgument);
   }
-
-  // Stale/unknown handles: the chain has advanced past the original
-  // fingerprint, so it is simply no longer registered.
-  AppendOutcome out;
-  EXPECT_EQ(service.AppendAndReprofile(fp, batches[1], &out).code(),
-            Status::Code::kNotFound);
-  EXPECT_EQ(service.AppendAndReprofile(0xdeadbeef, batches[1], &out).code(),
-            Status::Code::kNotFound);
-
-  const ServiceMetrics::Snapshot m = service.Metrics();
-  EXPECT_EQ(m.appends, 2);
-  EXPECT_EQ(m.append_absorbs, 2);
-  EXPECT_EQ(m.delta_rows, 130);
-  ASSERT_NE(service.tree_cache(), nullptr);
-  EXPECT_EQ(service.tree_cache()->GetStats().rekeys, 2);
-
-  // Warm start engaged: the second append was seeded from the first's
-  // non-keys (counted only when the traversal actually pruned off them,
-  // so assert the seed made it through rather than a specific count).
-  EXPECT_GE(m.warm_start_prunes, 0);
-
-  // Sampling cannot be registered (re-sampling is not append-monotone).
-  GordianOptions sampling;
-  sampling.sample_rows = 16;
-  EXPECT_EQ(service.RegisterAppendable("s", base, sampling, nullptr).code(),
-            Status::Code::kInvalidArgument);
 }
 
-// The lease regression: a read-only Profile of the same fingerprint racing
-// an AppendAndReprofile must never see a half-absorbed tree. Exercised here
-// (and under TSan in CI) by racing the two paths over identical content.
+// A read-only Profile of the same fingerprint racing an AppendAndReprofile
+// must never see a half-absorbed tree: the job works on the tree cache, the
+// append on the chain's private tree, and the two share no tree. Exercised
+// here (and under TSan in CI) by racing the two paths over identical
+// content.
 TEST(ServiceAppend, ConcurrentProfileNeverSeesHalfAbsorbedTree) {
   uint64_t state = 42;
   const Schema schema = MakeSchema(3);
@@ -494,9 +507,8 @@ TEST(ServiceAppend, ConcurrentProfileNeverSeesHalfAbsorbedTree) {
     ASSERT_TRUE(service.RegisterAppendable("t", base, {}, &fp).ok());
 
     // The read-only job profiles a private table with the SAME fingerprint
-    // as the chain's base: if it wins the lease the append falls back to a
-    // snapshot rebuild; if the append wins, the job busy-misses and builds
-    // privately. Either interleaving must produce oracle-exact results.
+    // as the chain's base while the append absorbs into the chain's tree.
+    // Either interleaving must produce oracle-exact results.
     ProfileJobOptions job;
     job.use_catalog = false;  // force discovery, not a catalog hit
     JobId id = service.SubmitTable("t_reader", &base, job);
@@ -513,83 +525,10 @@ TEST(ServiceAppend, ConcurrentProfileNeverSeesHalfAbsorbedTree) {
 }
 
 // ---------------------------------------------------------------------------
-// StreamingProfiler: keys-current mode and ingest accounting.
-
-TEST(KeysCurrent, FullModeTracksOracleAcrossBatches) {
-  uint64_t state = 63;
-  const Schema schema = MakeSchema(3);
-  std::vector<RowBatch> batches;
-  int64_t rows = 0;
-  for (int b = 0; b < 4; ++b) {
-    const int64_t n = 40 + static_cast<int64_t>(Next(&state) % 120);
-    batches.push_back(MakeBatch(3, n, rows, &state));
-    rows += n;
-  }
-
-  StreamingProfiler profiler(schema);
-  profiler.AddBatch(batches[0]);
-  // Enabled mid-stream: rows ingested so far become the incremental base.
-  ASSERT_TRUE(profiler.EnableKeysCurrent().ok());
-  EXPECT_TRUE(profiler.keys_current());
-
-  std::vector<RowBatch> prefix = {batches[0]};
-  for (size_t b = 1; b < batches.size(); ++b) {
-    profiler.AddBatch(batches[b]);
-    prefix.push_back(batches[b]);
-    ASSERT_TRUE(profiler.RefreshKeys().ok());
-    const Table concat = Concat(schema, prefix);
-    EXPECT_EQ(Canon(concat, profiler.current_report()),
-              Canon(concat, Oracle(concat)));
-  }
-
-  // Row-at-a-time ingest flows through the same incremental engine.
-  std::vector<Value> extra = RandomRow(3, rows, &state);
-  profiler.AddRow(extra);
-  ASSERT_TRUE(profiler.RefreshKeys().ok());
-  TableBuilder concat_b(schema);
-  for (const RowBatch& batch : batches) concat_b.AddBatch(batch);
-  concat_b.AddRow(extra);
-  const Table concat = concat_b.Build();
-  EXPECT_EQ(Canon(concat, profiler.current_report()),
-            Canon(concat, Oracle(concat)));
-
-  // Finish returns the same (complete) report and resets the profiler.
-  KeyDiscoveryResult finished;
-  ASSERT_TRUE(profiler.Finish(&finished).ok());
-  EXPECT_EQ(Canon(concat, finished), Canon(concat, Oracle(concat)));
-  EXPECT_EQ(profiler.rows_seen(), 0);
-  EXPECT_FALSE(profiler.keys_current());
-  EXPECT_EQ(profiler.ingest_stats().rows, 0);
-}
-
-TEST(KeysCurrent, ReservoirModeRefreshesFromSample) {
-  uint64_t state = 71;
-  const Schema schema = MakeSchema(3);
-  GordianOptions opts;
-  opts.sample_rows = 64;
-  StreamingProfiler profiler(schema, opts);
-  ASSERT_TRUE(profiler.EnableKeysCurrent().ok());
-
-  profiler.AddBatch(MakeBatch(3, 500, 0, &state));
-  ASSERT_TRUE(profiler.RefreshKeys().ok());
-  EXPECT_TRUE(profiler.current_report().sampled);
-  // The refresh is a point-in-time view; ingest continues unaffected.
-  profiler.AddBatch(MakeBatch(3, 500, 500, &state));
-  EXPECT_EQ(profiler.rows_seen(), 1000);
-  ASSERT_TRUE(profiler.RefreshKeys().ok());
-  KeyDiscoveryResult finished;
-  ASSERT_TRUE(profiler.Finish(&finished).ok());
-  EXPECT_TRUE(finished.sampled);
-}
-
-TEST(KeysCurrent, RefreshWithoutEnableIsAnError) {
-  StreamingProfiler profiler(MakeSchema(2));
-  EXPECT_EQ(profiler.RefreshKeys().code(), Status::Code::kInvalidArgument);
-}
+// StreamingProfiler: ingest accounting.
 
 // The ingest-accounting pin: rows are counted exactly once per public
-// AddRow/AddBatch call — keys-current delta absorption and reservoir
-// replacement must not double-count them.
+// AddRow/AddBatch call — reservoir replacement must not double-count them.
 TEST(IngestAccounting, CountersAreExactAcrossModes) {
   uint64_t state = 90;
   const Schema schema = MakeSchema(3);
@@ -597,10 +536,8 @@ TEST(IngestAccounting, CountersAreExactAcrossModes) {
   RowBatch b2 = MakeBatch(3, 60, 100, &state);
   const int64_t want_bytes = b1.ByteSize() + b2.ByteSize();
 
-  // Full mode with keys-current enabled: the batches flow through both the
-  // public boundary and the incremental engine — counted once.
+  // Full mode: batch and row ingest are each counted once.
   StreamingProfiler full(schema);
-  ASSERT_TRUE(full.EnableKeysCurrent().ok());
   full.AddBatch(b1);
   full.AddBatch(b2);
   full.AddRow(RandomRow(3, 160, &state));

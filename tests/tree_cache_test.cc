@@ -11,7 +11,7 @@
 
 #include "core/gordian.h"
 #include "core/pipeline.h"
-#include "core/prefix_tree.h"
+#include "core/frozen_tree.h"
 #include "datagen/synthetic.h"
 #include "service/profiling_service.h"
 #include "service/tree_cache.h"
@@ -30,23 +30,17 @@ Table MakeTable(int64_t rows, uint64_t seed, int columns = 5) {
   return t;
 }
 
-// Builds the prefix tree a profiling run would build for (table, options).
-std::unique_ptr<PrefixTree> BuildTree(const Table& t,
+// Builds the frozen tree a profiling run would build for (table, options).
+// Its ApproxBytes is the footprint of one cache entry; the budget-sensitive
+// tests below size their caches in this unit.
+std::unique_ptr<FrozenTree> BuildTree(const Table& t,
                                       const GordianOptions& opt) {
   ProfileSession session(opt);
   KeyDiscoveryResult r;
   EXPECT_TRUE(session.Run(t, &r).ok());
-  std::unique_ptr<PrefixTree> tree = session.TakeTree();
+  std::unique_ptr<FrozenTree> tree = session.TakeFrozenTree();
   EXPECT_NE(tree, nullptr);
   return tree;
-}
-
-// The byte footprint one cache entry for `tree` will occupy: the pool's
-// bytes plus the flat layout admitted alongside. The budget-sensitive tests
-// below size their caches in this unit.
-int64_t EntryFootprint(const PrefixTree& tree) {
-  return const_cast<PrefixTree&>(tree).pool().current_bytes() +
-         FrozenTree::Freeze(tree)->ApproxBytes();
 }
 
 TEST(TreeCacheKeyTest, DistinguishesTreeShapingOptions) {
@@ -89,10 +83,12 @@ TEST(TreeCacheTest, MissInsertHitLifecycle) {
 
   TreeArtifactCache cache;
   EXPECT_FALSE(cache.Acquire(key).valid());  // miss
+  int64_t entry_bytes = 0;
   {
     TreeArtifactCache::Lease lease = cache.Insert(key, BuildTree(t, opt));
     ASSERT_TRUE(lease.valid());
-    EXPECT_NE(lease.tree(), nullptr);
+    ASSERT_NE(lease.frozen(), nullptr);
+    entry_bytes = lease.frozen()->ApproxBytes();
 
     // While leased, a second acquire is a busy miss.
     EXPECT_FALSE(cache.Acquire(key).valid());
@@ -110,6 +106,8 @@ TEST(TreeCacheTest, MissInsertHitLifecycle) {
   EXPECT_EQ(s.insertions, 1);
   EXPECT_EQ(s.entries, 1);
   EXPECT_GT(s.bytes, 0);
+  // An entry is its frozen tree and nothing else.
+  EXPECT_EQ(s.bytes, entry_bytes);
 
   cache.Clear();
   EXPECT_FALSE(cache.Contains(key));
@@ -119,10 +117,10 @@ TEST(TreeCacheTest, MissInsertHitLifecycle) {
 TEST(TreeCacheTest, EvictsLeastRecentlyUsedUnderByteBudget) {
   Table t = MakeTable(1200, 5);
   GordianOptions opt;
-  std::unique_ptr<PrefixTree> t1 = BuildTree(t, opt);
-  std::unique_ptr<PrefixTree> t2 = BuildTree(t, opt);
-  std::unique_ptr<PrefixTree> t3 = BuildTree(t, opt);
-  const int64_t one = EntryFootprint(*t1);
+  std::unique_ptr<FrozenTree> t1 = BuildTree(t, opt);
+  std::unique_ptr<FrozenTree> t2 = BuildTree(t, opt);
+  std::unique_ptr<FrozenTree> t3 = BuildTree(t, opt);
+  const int64_t one = t1->ApproxBytes();
   ASSERT_GT(one, 0);
 
   // Budget fits two trees but not three; distinct fingerprints keep the
@@ -152,9 +150,9 @@ TEST(TreeCacheTest, EvictsLeastRecentlyUsedUnderByteBudget) {
 TEST(TreeCacheTest, LeasedEntriesAreNeverEvicted) {
   Table t = MakeTable(1200, 7);
   GordianOptions opt;
-  std::unique_ptr<PrefixTree> t1 = BuildTree(t, opt);
-  std::unique_ptr<PrefixTree> t2 = BuildTree(t, opt);
-  const int64_t one = EntryFootprint(*t1);
+  std::unique_ptr<FrozenTree> t1 = BuildTree(t, opt);
+  std::unique_ptr<FrozenTree> t2 = BuildTree(t, opt);
+  const int64_t one = t1->ApproxBytes();
 
   // Budget fits only one tree.
   TreeArtifactCache cache(one);
@@ -188,15 +186,15 @@ TEST(TreeCacheTest, LeasedEntriesAreNeverEvicted) {
 TEST(TreeCacheTest, OversizedArtifactIsServedButNotAdmitted) {
   Table t = MakeTable(1200, 9);
   GordianOptions opt;
-  std::unique_ptr<PrefixTree> tree = BuildTree(t, opt);
-  PrefixTree* raw = tree.get();
+  std::unique_ptr<FrozenTree> tree = BuildTree(t, opt);
+  FrozenTree* raw = tree.get();
 
   TreeArtifactCache cache(/*byte_budget=*/1);
   TreeCacheKey key = MakeTreeCacheKey(1, t.num_columns(), opt);
   TreeArtifactCache::Lease lease = cache.Insert(key, std::move(tree));
   // The inserting job still gets its tree...
   ASSERT_TRUE(lease.valid());
-  EXPECT_EQ(lease.tree(), raw);
+  EXPECT_EQ(lease.frozen(), raw);
   lease.Release();
   // ...but the cache never admits it.
   EXPECT_FALSE(cache.Contains(key));
