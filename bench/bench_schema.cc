@@ -1,7 +1,8 @@
 // bench_schema: schema-wide discovery over the two multi-table generators
 // with known referential structure — tpch_lite and baseball_like. Measures
-// (1) FK verification wall time, dictionary-first vs the legacy
-// value-materializing path, (2) whether the two paths produce byte-identical
+// (1) FK verification wall time, dictionary-first DiscoverForeignKeys vs the
+// value-materializing ReferenceDiscoverForeignKeys (reported under the JSON
+// field fk_legacy_seconds), (2) whether the two paths produce byte-identical
 // candidate lists, and (3) precision/recall of the discovered foreign keys
 // against the generators' built-in ground truth. Results land in
 // BENCH_schema.json (overridable via GORDIAN_BENCH_SCHEMA_JSON).
@@ -160,18 +161,16 @@ DatasetResult RunDataset(const std::string& name,
   out.dict_seconds = 1e30;
   for (int r = 0; r < repeats; ++r) {
     watch.Restart();
-    options.dictionary_first = true;
     dict_candidates = DiscoverForeignKeys(profiled, options);
     out.dict_seconds = std::min(out.dict_seconds, watch.ElapsedSeconds());
   }
 
-  // Legacy value-materializing oracle, best of `repeats`.
+  // The value-materializing reference, best of `repeats`.
   std::vector<ForeignKeyCandidate> legacy_candidates;
   out.legacy_seconds = 1e30;
   for (int r = 0; r < repeats; ++r) {
     watch.Restart();
-    options.dictionary_first = false;
-    legacy_candidates = DiscoverForeignKeys(profiled, options);
+    legacy_candidates = ReferenceDiscoverForeignKeys(profiled, options);
     out.legacy_seconds = std::min(out.legacy_seconds, watch.ElapsedSeconds());
   }
 
@@ -183,7 +182,7 @@ DatasetResult RunDataset(const std::string& name,
 
 void PrintDataset(const DatasetResult& r) {
   SeriesPrinter p({"path", "fk seconds", "speedup", "identical"});
-  p.AddRow({"legacy (value-materializing)", FormatSeconds(r.legacy_seconds),
+  p.AddRow({"reference (value-materializing)", FormatSeconds(r.legacy_seconds),
             "1.00", "-"});
   p.AddRow({"dictionary-first", FormatSeconds(r.dict_seconds),
             FormatRatio(r.legacy_seconds / r.dict_seconds),
@@ -239,7 +238,7 @@ int main(int argc, char** argv) {
   const double min_ref_coverage = flags.GetDouble("min_ref_coverage", 0.05);
 
   bench::Banner("schema discovery",
-                "FK verification: dictionary-first vs legacy, and "
+                "FK verification: dictionary-first vs reference, and "
                 "precision/recall vs generator ground truth");
 
   std::printf("\ntpch_lite (scale %.3f):\n", tpch_scale);

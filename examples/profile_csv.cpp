@@ -109,9 +109,12 @@ int ProfileOneFile(const std::string& path,
       std::printf("  [STRICT] %s\n", table.schema().Describe(k.attrs).c_str());
     }
   }
-  std::printf("\ndiscovery took %.3f s (build %.3f, find %.3f, convert %.3f)\n",
-              result.stats.TotalSeconds(), result.stats.build_seconds,
-              result.stats.find_seconds, result.stats.convert_seconds);
+  std::printf(
+      "\ndiscovery took %.3f s (build %.3f, freeze %.3f, find %.3f, "
+      "convert %.3f)\n",
+      result.stats.TotalSeconds(), result.stats.build_seconds,
+      result.stats.freeze_seconds, result.stats.find_seconds,
+      result.stats.convert_seconds);
   return 0;
 }
 

@@ -9,7 +9,7 @@
 // Usage:
 //   ./build/examples/schema_discovery [files...] [--sample=N] [--threads=N]
 //       [--json=profile.json] [--dot=schema.dot] [--min-coverage=1.0]
-//       [--report-dir=DIR] [--legacy-fk]
+//       [--report-dir=DIR]
 //
 // With no inputs a demo TPC-H-like database is generated and profiled.
 
@@ -83,7 +83,6 @@ int main(int argc, char** argv) {
   options.fk.min_distinct_values = flags.GetInt("min-distinct", 20);
   options.fk.min_referenced_coverage =
       flags.GetDouble("min-ref-coverage", 0.3);
-  options.fk.dictionary_first = !flags.GetBool("legacy-fk", false);
   options.report_dir = flags.GetString("report-dir", "");
 
   SchemaReport report;

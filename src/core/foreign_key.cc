@@ -1,6 +1,7 @@
 #include "core/foreign_key.h"
 
 #include <algorithm>
+#include <optional>
 #include <unordered_set>
 
 #include "common/hashing.h"
@@ -49,15 +50,6 @@ bool RowHasNull(const Table& t, int64_t row, const std::vector<int>& cols) {
   return false;
 }
 
-// The dictionary's code for NULL, or UINT32_MAX when the column never saw
-// one. A dictionary stores at most one NULL entry.
-uint32_t NullCodeOf(const Dictionary& d) {
-  for (uint32_t code = 0; code < d.size(); ++code) {
-    if (d.Decode(code).is_null()) return code;
-  }
-  return UINT32_MAX;
-}
-
 // --- dictionary-first path ----------------------------------------------
 
 // Per-column facts derivable without decoding rows into Values: which
@@ -78,18 +70,16 @@ ColumnArtifact BuildColumnArtifact(const Table& t, int col) {
   ColumnArtifact a;
   const Dictionary& d = t.dictionary(col);
   a.type = ColumnType(t, col);
-  a.null_code = NullCodeOf(d);
+  a.null_code = d.Lookup(Value::Null());  // UINT32_MAX when absent
   a.present.assign(d.size(), 0);
   const CodeColumn& codes = t.column_codes(col);
   for (int64_t ch = 0; ch < codes.num_chunks(); ++ch) {
     CodeColumn::Span span = codes.Scan(ch);
     for (int64_t i = 0; i < span.count; ++i) a.present[span.data[i]] = 1;
   }
-  for (uint32_t c = 0; c < d.size(); ++c) {
-    if (!a.present[c]) continue;
-    ++a.present_total;
-    if (c != a.null_code) ++a.present_nonnull;
-  }
+  a.present_total = std::count(a.present.begin(), a.present.end(), 1);
+  a.present_nonnull =
+      a.present_total - (a.null_code != UINT32_MAX && a.present[a.null_code]);
   return a;
 }
 
@@ -112,24 +102,17 @@ std::vector<uint32_t> BuildTranslation(const Dictionary& from,
 // independent, so concurrent verification units never share one).
 class ArtifactSet {
  public:
-  explicit ArtifactSet(const Table& table) : table_(table) {}
+  explicit ArtifactSet(const Table& table)
+      : table_(table), arts_(static_cast<size_t>(table.num_columns())) {}
 
   const ColumnArtifact& Get(int col) {
-    if (arts_.empty()) {
-      arts_.resize(table_.num_columns());
-      built_.assign(table_.num_columns(), false);
-    }
-    if (!built_[col]) {
-      arts_[col] = BuildColumnArtifact(table_, col);
-      built_[col] = true;
-    }
-    return arts_[col];
+    if (!arts_[col]) arts_[col] = BuildColumnArtifact(table_, col);
+    return *arts_[col];
   }
 
  private:
   const Table& table_;
-  std::vector<ColumnArtifact> arts_;
-  std::vector<bool> built_;
+  std::vector<std::optional<ColumnArtifact>> arts_;
 };
 
 uint64_t PackPair(uint32_t a, uint32_t b) {
@@ -164,18 +147,29 @@ void EmitIfQualified(int fi, int ki, const std::vector<int>& fcols,
   out->push_back(std::move(cand));
 }
 
-// All candidate column tuples of `ft` with the key's arity, in the fixed
-// enumeration order both paths share.
-std::vector<std::vector<int>> EnumerateCandidates(const Table& ft,
-                                                  size_t arity) {
+// All candidate column tuples of tables[fi] with the key's arity, in the
+// fixed enumeration order both paths share, minus the key referencing
+// itself and, when required, type-incompatible pairings.
+std::vector<std::vector<int>> EnumerateCandidates(
+    const Table& ft, int fi, const Table& kt, int ki,
+    const std::vector<int>& kcols, const ForeignKeyOptions& options) {
   std::vector<std::vector<int>> candidates;
-  if (arity == 1) {
-    for (int c = 0; c < ft.num_columns(); ++c) candidates.push_back({c});
-  } else if (arity == 2) {
-    for (int c1 = 0; c1 < ft.num_columns(); ++c1) {
-      for (int c2 = 0; c2 < ft.num_columns(); ++c2) {
-        if (c1 != c2) candidates.push_back({c1, c2});
-      }
+  auto consider = [&](std::vector<int> fcols) {
+    if (fi == ki && fcols == kcols) return;
+    if (options.require_type_compatibility &&
+        !TypesCompatible(ft, fcols, kt, kcols)) {
+      return;
+    }
+    candidates.push_back(std::move(fcols));
+  };
+  const int d = ft.num_columns();
+  for (int c1 = 0; c1 < d; ++c1) {
+    if (kcols.size() == 1) {
+      consider({c1});
+      continue;
+    }
+    for (int c2 = 0; c2 < d; ++c2) {
+      if (c1 != c2) consider({c1, c2});
     }
   }
   return candidates;
@@ -230,13 +224,8 @@ void VerifyDictionaryFirst(const std::vector<ProfiledTable>& tables, int fi,
     return trans_memo[fc][kpos];
   };
 
-  for (const std::vector<int>& fcols : EnumerateCandidates(ft, kcols.size())) {
-    if (fi == ki && fcols == kcols) continue;  // the key referencing itself
-    if (options.require_type_compatibility &&
-        !TypesCompatible(ft, fcols, kt, kcols)) {
-      continue;
-    }
-
+  for (const std::vector<int>& fcols :
+       EnumerateCandidates(ft, fi, kt, ki, kcols, options)) {
     if (kcols.size() == 1) {
       // Arity 1 is decided entirely from dictionaries + presence: coverage
       // counts the referencing column's occurring NULL-free values whose
@@ -326,49 +315,86 @@ void VerifyDictionaryFirst(const std::vector<ProfiledTable>& tables, int fi,
   }
 }
 
-// --- legacy value-materializing path (the equivalence oracle) ------------
+// --- value-materializing reference path -----------------------------------
 
-void VerifyLegacy(const std::vector<ProfiledTable>& tables, int fi, int ki,
-                  const AttributeSet& key, const std::vector<int>& kcols,
-                  const ForeignKeyOptions& options,
-                  std::vector<ForeignKeyCandidate>* out) {
-  const Table& ft = *tables[fi].table;
-  const Table& kt = *tables[ki].table;
+using TupleSet = std::unordered_set<Fingerprint128, Fingerprint128Hash>;
 
-  // The referenced key's tuple set, once per call.
-  std::unordered_set<Fingerprint128, Fingerprint128Hash> key_tuples;
+TupleSet KeyTuples(const Table& kt, const std::vector<int>& kcols) {
+  TupleSet key_tuples;
   key_tuples.reserve(static_cast<size_t>(kt.num_rows()));
   for (int64_t r = 0; r < kt.num_rows(); ++r) {
     key_tuples.insert(TupleFingerprint(kt, r, kcols));
   }
+  return key_tuples;
+}
 
-  for (const std::vector<int>& fcols : EnumerateCandidates(ft, kcols.size())) {
-    if (fi == ki && fcols == kcols) continue;
-    if (options.require_type_compatibility &&
-        !TypesCompatible(ft, fcols, kt, kcols)) {
-      continue;
+// Counts the distinct NULL-free `fcols` tuples of `ft` into *distinct (a
+// tuple holding a NULL asserts nothing, per SQL FK semantics) and returns
+// how many occur among `key_tuples` — or -1 under `strict`, at the first
+// uncovered tuple.
+int64_t CountCovered(const Table& ft, const std::vector<int>& fcols,
+                     const TupleSet& key_tuples, bool strict,
+                     int64_t* distinct) {
+  TupleSet fk_tuples;
+  int64_t covered = 0;
+  for (int64_t r = 0; r < ft.num_rows(); ++r) {
+    if (RowHasNull(ft, r, fcols)) continue;
+    Fingerprint128 fp = TupleFingerprint(ft, r, fcols);
+    if (!fk_tuples.insert(fp).second) continue;
+    if (key_tuples.count(fp) > 0) {
+      ++covered;
+    } else if (strict) {
+      return -1;
     }
+  }
+  *distinct = static_cast<int64_t>(fk_tuples.size());
+  return covered;
+}
 
-    std::unordered_set<Fingerprint128, Fingerprint128Hash> fk_tuples;
-    int64_t covered = 0;
-    bool viable = true;
-    for (int64_t r = 0; r < ft.num_rows(); ++r) {
-      if (RowHasNull(ft, r, fcols)) continue;  // SQL FK NULL semantics
-      Fingerprint128 fp = TupleFingerprint(ft, r, fcols);
-      if (fk_tuples.insert(fp).second) {
-        if (key_tuples.count(fp) > 0) {
-          ++covered;
-        } else if (options.min_coverage >= 1.0) {
-          viable = false;  // strict inclusion already broken
-          break;
-        }
-      }
-    }
-    if (!viable) continue;
-    EmitIfQualified(fi, ki, fcols, key, covered,
-                    static_cast<int64_t>(fk_tuples.size()),
+void VerifyReference(const std::vector<ProfiledTable>& tables, int fi, int ki,
+                     const AttributeSet& key, const std::vector<int>& kcols,
+                     const ForeignKeyOptions& options,
+                     std::vector<ForeignKeyCandidate>* out) {
+  const Table& ft = *tables[fi].table;
+  const Table& kt = *tables[ki].table;
+  const TupleSet key_tuples = KeyTuples(kt, kcols);
+  for (const std::vector<int>& fcols :
+       EnumerateCandidates(ft, fi, kt, ki, kcols, options)) {
+    int64_t distinct = 0;
+    const int64_t covered = CountCovered(
+        ft, fcols, key_tuples, options.min_coverage >= 1.0, &distinct);
+    if (covered < 0) continue;
+    EmitIfQualified(fi, ki, fcols, key, covered, distinct,
                     static_cast<int64_t>(key_tuples.size()), options, out);
   }
+}
+
+// Keys the search covers: arity 1 and 2, capped by options.max_arity.
+bool SearchedKey(const std::vector<int>& kcols,
+                 const ForeignKeyOptions& options) {
+  return !kcols.empty() && kcols.size() <= 2 &&
+         static_cast<int>(kcols.size()) <= options.max_arity;
+}
+
+// Every (referenced table, key, referencing table) unit through `verify`,
+// in enumeration order, then the documented total order.
+template <typename Verify>
+std::vector<ForeignKeyCandidate> DiscoverWith(
+    const Verify& verify, const std::vector<ProfiledTable>& tables,
+    const ForeignKeyOptions& options) {
+  std::vector<ForeignKeyCandidate> found;
+  for (size_t ki = 0; ki < tables.size(); ++ki) {
+    for (const AttributeSet& key : tables[ki].keys) {
+      const std::vector<int> kcols = ToCols(key);
+      if (!SearchedKey(kcols, options)) continue;
+      for (size_t fi = 0; fi < tables.size(); ++fi) {
+        verify(tables, static_cast<int>(fi), static_cast<int>(ki), key, kcols,
+               options, &found);
+      }
+    }
+  }
+  SortForeignKeyCandidates(&found);
+  return found;
 }
 
 }  // namespace
@@ -379,24 +405,12 @@ double InclusionCoverage(const Table& fk_table, const AttributeSet& fk_cols,
   std::vector<int> fcols = ToCols(fk_cols);
   std::vector<int> kcols = ToCols(key_cols);
   if (fcols.size() != kcols.size() || fcols.empty()) return 0;
-
-  std::unordered_set<Fingerprint128, Fingerprint128Hash> key_tuples;
-  key_tuples.reserve(static_cast<size_t>(key_table.num_rows()));
-  for (int64_t r = 0; r < key_table.num_rows(); ++r) {
-    key_tuples.insert(TupleFingerprint(key_table, r, kcols));
-  }
-
-  std::unordered_set<Fingerprint128, Fingerprint128Hash> fk_tuples;
-  int64_t covered = 0;
-  for (int64_t r = 0; r < fk_table.num_rows(); ++r) {
-    if (RowHasNull(fk_table, r, fcols)) continue;
-    Fingerprint128 fp = TupleFingerprint(fk_table, r, fcols);
-    if (fk_tuples.insert(fp).second) {
-      if (key_tuples.count(fp) > 0) ++covered;
-    }
-  }
-  if (fk_tuples.empty()) return 0;
-  return static_cast<double>(covered) / static_cast<double>(fk_tuples.size());
+  int64_t distinct = 0;
+  const int64_t covered = CountCovered(fk_table, fcols,
+                                       KeyTuples(key_table, kcols),
+                                       /*strict=*/false, &distinct);
+  if (distinct == 0) return 0;
+  return static_cast<double>(covered) / static_cast<double>(distinct);
 }
 
 std::vector<ForeignKeyCandidate> VerifyForeignKeysAgainstKey(
@@ -404,17 +418,10 @@ std::vector<ForeignKeyCandidate> VerifyForeignKeysAgainstKey(
     int referenced_table, const AttributeSet& key,
     const ForeignKeyOptions& options) {
   std::vector<ForeignKeyCandidate> out;
-  std::vector<int> kcols = ToCols(key);
-  if (kcols.empty() || static_cast<int>(kcols.size()) > options.max_arity ||
-      kcols.size() > 2) {
-    return out;
-  }
-  if (options.dictionary_first) {
+  const std::vector<int> kcols = ToCols(key);
+  if (SearchedKey(kcols, options)) {
     VerifyDictionaryFirst(tables, referencing_table, referenced_table, key,
                           kcols, options, &out);
-  } else {
-    VerifyLegacy(tables, referencing_table, referenced_table, key, kcols,
-                 options, &out);
   }
   return out;
 }
@@ -441,18 +448,13 @@ void SortForeignKeyCandidates(std::vector<ForeignKeyCandidate>* candidates) {
 std::vector<ForeignKeyCandidate> DiscoverForeignKeys(
     const std::vector<ProfiledTable>& tables,
     const ForeignKeyOptions& options) {
-  std::vector<ForeignKeyCandidate> found;
-  for (size_t ki = 0; ki < tables.size(); ++ki) {
-    for (const AttributeSet& key : tables[ki].keys) {
-      for (size_t fi = 0; fi < tables.size(); ++fi) {
-        std::vector<ForeignKeyCandidate> unit = VerifyForeignKeysAgainstKey(
-            tables, static_cast<int>(fi), static_cast<int>(ki), key, options);
-        found.insert(found.end(), unit.begin(), unit.end());
-      }
-    }
-  }
-  SortForeignKeyCandidates(&found);
-  return found;
+  return DiscoverWith(VerifyDictionaryFirst, tables, options);
+}
+
+std::vector<ForeignKeyCandidate> ReferenceDiscoverForeignKeys(
+    const std::vector<ProfiledTable>& tables,
+    const ForeignKeyOptions& options) {
+  return DiscoverWith(VerifyReference, tables, options);
 }
 
 }  // namespace gordian

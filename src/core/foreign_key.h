@@ -32,9 +32,8 @@ namespace gordian {
 // survivors are verified in code space — referencing codes are translated
 // through a dictionary-to-dictionary mapping and probed against the
 // referenced key's code tuples, streaming CodeColumn chunks so spilled
-// tables verify without residency. The original value-materializing path is
-// kept behind ForeignKeyOptions::dictionary_first = false as the
-// equivalence oracle: both paths produce identical candidate lists.
+// tables verify without residency. ReferenceDiscoverForeignKeys is the
+// value-materializing oracle tests compare it against.
 
 struct ForeignKeyCandidate {
   int referencing_table = 0;  // index into the input table list
@@ -72,12 +71,6 @@ struct ForeignKeyOptions {
   // Candidates referencing less than this fraction of the key's values are
   // dropped (see ForeignKeyCandidate::referenced_coverage). 0 keeps all.
   double min_referenced_coverage = 0.0;
-
-  // Verification path. True (default): dictionary-first — prune by
-  // dictionary comparison, verify survivors over translated codes. False:
-  // the legacy path that decodes every row back into Values and hashes
-  // them; kept as the equivalence oracle (identical candidates either way).
-  bool dictionary_first = true;
 };
 
 // One profiled table: its data plus the keys GORDIAN discovered for it.
@@ -93,6 +86,13 @@ struct ProfiledTable {
 // set is excluded. The result is in the documented total order (see
 // ForeignKeyCandidateLess), so it is byte-stable across runs and paths.
 std::vector<ForeignKeyCandidate> DiscoverForeignKeys(
+    const std::vector<ProfiledTable>& tables,
+    const ForeignKeyOptions& options = {});
+
+// The reference DiscoverForeignKeys (tests and bench_schema only): every
+// referencing row is decoded into Values and its tuple hashed against the
+// referenced key's tuple set. Same candidates in the same order.
+std::vector<ForeignKeyCandidate> ReferenceDiscoverForeignKeys(
     const std::vector<ProfiledTable>& tables,
     const ForeignKeyOptions& options = {});
 

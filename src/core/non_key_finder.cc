@@ -158,10 +158,11 @@ KeyDiscoveryResult ReferenceFindKeys(const Table& table,
   // Encoding is shared with the pipeline (it decides only which rows and
   // attribute order to profile); it concludes the run itself for empty
   // schemas, pre-build cancellation, and null projection, which profiles the
-  // projected table through a nested production session.
+  // projected table through a nested production session (forced serial).
   ProfileContext ctx;
   ctx.input = &table;
   ctx.options = options;
+  ctx.options.traversal_threads = -1;
   (void)EncodeStage().Run(&ctx);
   KeyDiscoveryResult& result = ctx.result;
   if (ctx.finished) return std::move(result);

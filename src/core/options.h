@@ -163,13 +163,13 @@ struct GordianStats {
   int64_t frozen_tree_bytes = 0;
   double freeze_seconds = 0;
 
-  // Wall-clock per phase.
+  // Wall-clock per phase (build_seconds is PrefixTree::Build alone).
   double build_seconds = 0;
   double find_seconds = 0;
   double convert_seconds = 0;
 
   double TotalSeconds() const {
-    return build_seconds + find_seconds + convert_seconds;
+    return build_seconds + freeze_seconds + find_seconds + convert_seconds;
   }
 };
 

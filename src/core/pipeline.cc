@@ -60,30 +60,24 @@ std::vector<int> ComputeAttributeOrder(const Table& table,
   return order;
 }
 
-// Column positions containing at least one NULL. A spilled column answers
-// from its per-chunk null stats (no data scan); a resident column scans
-// until the first null.
+}  // namespace
+
+// A spilled column answers from its per-chunk null stats (no data scan); a
+// resident column scans until the first null.
 std::vector<int> NullableColumns(const Table& table) {
   std::vector<int> nullable;
   for (int c = 0; c < table.num_columns(); ++c) {
     uint32_t null_code = table.dictionary(c).Lookup(Value::Null());
     if (null_code == UINT32_MAX) continue;
     const CodeColumn& codes = table.column_codes(c);
-    if (codes.spilled()) {
-      if (codes.CountEqual(null_code) > 0) nullable.push_back(c);
-      continue;
-    }
-    for (uint32_t code : codes) {
-      if (code == null_code) {
-        nullable.push_back(c);
-        break;
-      }
+    if (codes.spilled()
+            ? codes.CountEqual(null_code) > 0
+            : std::find(codes.begin(), codes.end(), null_code) != codes.end()) {
+      nullable.push_back(c);
     }
   }
   return nullable;
 }
-
-}  // namespace
 
 int ResolveTraversalThreads(const GordianOptions& options) {
   int threads = options.traversal_threads;
@@ -109,11 +103,8 @@ Status EncodeStage::Run(ProfileContext* ctx) {
     std::vector<int> nullable = NullableColumns(table);
     if (!nullable.empty()) {
       std::vector<int> kept;
-      size_t ni = 0;
       for (int c = 0; c < d; ++c) {
-        if (ni < nullable.size() && nullable[ni] == c) {
-          ++ni;
-        } else {
+        if (!std::binary_search(nullable.begin(), nullable.end(), c)) {
           kept.push_back(c);
         }
       }

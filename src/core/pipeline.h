@@ -89,6 +89,9 @@ class EncodeStage {
   Status Run(ProfileContext* ctx);
 };
 
+// Column positions holding a NULL (what kExcludeNullableColumns bars).
+std::vector<int> NullableColumns(const Table& table);
+
 // The stages after encode — tree_build (Build + Freeze, skipped when
 // ctx->frozen was injected; then the duplicate-entity and cancellation
 // checks), traverse, convert, validate — over a context whose encode

@@ -22,8 +22,8 @@ TreeCacheKey MakeTreeCacheKey(uint64_t fingerprint, int num_columns,
   TreeCacheKey key;
   key.fingerprint = fingerprint;
   key.columns = AttributeSet::FirstN(num_columns);
-  // A sample spec that selects the whole table builds the same tree as no
-  // sampling at all; normalizing it widens sharing across budget variants.
+  // The seed shapes no tree when sampling is off, so it is zeroed there to
+  // widen sharing; any sample_rows > 0 (even the whole table) keeps it.
   key.sample_rows = options.sample_rows;
   key.sample_seed = options.sample_rows > 0 ? options.sample_seed : 0;
   key.attribute_order = options.attribute_order;
@@ -180,18 +180,21 @@ KeyDiscoveryResult ProfileWithTreeCache(
     const Table& table, const GordianOptions& options, uint64_t fingerprint,
     TreeArtifactCache* cache, bool* tree_cache_hit,
     std::vector<StageMetric>* stage_metrics) {
-  if (tree_cache_hit != nullptr) *tree_cache_hit = false;
-
   ProfileSession session(options);
   KeyDiscoveryResult result;
+  const TreeCacheKey key =
+      MakeTreeCacheKey(fingerprint, table.num_columns(), options);
 
+  // A run barring a nullable column traverses its projection's tree, not this.
   TreeArtifactCache::Lease lease;
-  if (cache != nullptr) {
-    lease = cache->Acquire(MakeTreeCacheKey(
-        fingerprint, table.num_columns(), options));
+  if (cache != nullptr &&
+      (options.null_semantics ==
+           GordianOptions::NullSemantics::kNullEqualsNull ||
+       NullableColumns(table).empty())) {
+    lease = cache->Acquire(key);
   }
+  if (tree_cache_hit != nullptr) *tree_cache_hit = lease.valid();
   if (lease.valid()) {
-    if (tree_cache_hit != nullptr) *tree_cache_hit = true;
     // The run skips both the build and the freeze pass.
     session.set_shared_frozen_tree(lease.frozen());
     (void)session.Run(table, &result);
@@ -206,9 +209,7 @@ KeyDiscoveryResult ProfileWithTreeCache(
       // before the build stage) return null from TakeFrozenTree.
       // Duplicate-entity trees are cacheable too — a rerun hits and
       // re-derives no_keys from the frozen artifact.
-      lease = cache->Insert(
-          MakeTreeCacheKey(fingerprint, table.num_columns(), options),
-          std::move(built));
+      lease = cache->Insert(key, std::move(built));
     }
   }
 

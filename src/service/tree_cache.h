@@ -168,7 +168,7 @@ class TreeArtifactCache {
 // when available, runs a ProfileSession over `table` (injecting the frozen
 // tree on a hit), and admits the run's frozen tree on a miss. With
 // `cache` null this is exactly FindKeys. `tree_cache_hit` (optional)
-// reports whether the run skipped tree building; `stage_metrics` (optional)
+// reports whether the run traversed a cached tree; `stage_metrics` (optional)
 // receives the session's per-stage wall/bytes.
 KeyDiscoveryResult ProfileWithTreeCache(
     const Table& table, const GordianOptions& options, uint64_t fingerprint,

@@ -59,9 +59,10 @@ TEST(FormatResult, SampledRunShowsEstimates) {
 TEST(Stats, TotalSecondsSumsPhases) {
   GordianStats s;
   s.build_seconds = 1.5;
+  s.freeze_seconds = 0.5;
   s.find_seconds = 2.25;
   s.convert_seconds = 0.25;
-  EXPECT_DOUBLE_EQ(s.TotalSeconds(), 4.0);
+  EXPECT_DOUBLE_EQ(s.TotalSeconds(), 4.5);
 }
 
 TEST(Options, SamplingComposesWithNullSemantics) {

@@ -1,7 +1,8 @@
-// The golden property suite: on randomized tables, GORDIAN's key set must
-// equal the brute-force oracle's, under every pruning combination and
-// attribute ordering. This is the repository's primary correctness evidence
-// (invariants 1-4 of DESIGN.md).
+// Edge cases of key discovery: degenerate tables (one row, no rows, no
+// columns, a constant column), a table whose only key is every column, and
+// the widest schemas the bitmap accepts. Randomized equivalence against the
+// brute-force oracle under every pruning and order lives in
+// differential_test.
 
 #include <gtest/gtest.h>
 
@@ -21,190 +22,6 @@ std::vector<AttributeSet> Sorted(std::vector<AttributeSet> v) {
   return v;
 }
 
-struct SweepCase {
-  int rows;
-  int cols;
-  uint64_t cardinality;
-  double theta;
-  bool plant_pair_key;  // plant a 2-column composite key
-  uint64_t seed;
-
-  std::string Name() const {
-    std::string n = "r" + std::to_string(rows) + "_c" + std::to_string(cols) +
-                    "_k" + std::to_string(cardinality) + "_t" +
-                    std::to_string(static_cast<int>(theta * 10)) +
-                    (plant_pair_key ? "_planted" : "_free") + "_s" +
-                    std::to_string(seed);
-    return n;
-  }
-};
-
-Table MakeTable(const SweepCase& c) {
-  SyntheticSpec spec =
-      UniformSpec(c.cols, c.rows, c.cardinality, c.theta, c.seed);
-  if (c.plant_pair_key && c.cols >= 2) {
-    // Give the planted columns enough room: the pair's value space must
-    // cover the row count.
-    uint64_t need = 8;
-    while (need * need < static_cast<uint64_t>(c.rows) * 2) need *= 2;
-    spec.columns[0].cardinality = std::max<uint64_t>(c.cardinality, need);
-    spec.columns[1].cardinality = std::max<uint64_t>(c.cardinality, need);
-    spec.planted_keys.push_back({0, 1});
-  }
-  spec.ensure_unique_rows = true;
-  Table t;
-  Status s = GenerateSynthetic(spec, &t);
-  EXPECT_TRUE(s.ok()) << s.ToString();
-  return t;
-}
-
-class GordianVsBruteForce : public ::testing::TestWithParam<SweepCase> {};
-
-TEST_P(GordianVsBruteForce, KeySetsMatch) {
-  Table t = MakeTable(GetParam());
-  BruteForceResult oracle = BruteForceAll(t);
-  ASSERT_FALSE(oracle.truncated);
-
-  KeyDiscoveryResult r = FindKeys(t);
-  ASSERT_FALSE(r.no_keys);
-  EXPECT_EQ(Sorted(r.KeySets()), Sorted(oracle.keys));
-}
-
-TEST_P(GordianVsBruteForce, KeysVerifyUniqueAndMinimalAndNonKeysVerifyDuplicated) {
-  Table t = MakeTable(GetParam());
-  KeyDiscoveryResult r = FindKeys(t);
-  for (const DiscoveredKey& k : r.keys) {
-    EXPECT_TRUE(t.IsUnique(k.attrs)) << k.attrs.ToString();
-    k.attrs.ForEach([&](int a) {
-      AttributeSet smaller = k.attrs;
-      smaller.Reset(a);
-      if (!smaller.Empty()) {
-        EXPECT_FALSE(t.IsUnique(smaller))
-            << "non-minimal key " << k.attrs.ToString();
-      }
-    });
-  }
-  for (const AttributeSet& nk : r.non_keys) {
-    EXPECT_FALSE(t.IsUnique(nk)) << "false non-key " << nk.ToString();
-  }
-}
-
-TEST_P(GordianVsBruteForce, NonKeysFormMaximalAntichain) {
-  Table t = MakeTable(GetParam());
-  KeyDiscoveryResult r = FindKeys(t);
-  for (size_t i = 0; i < r.non_keys.size(); ++i) {
-    for (size_t j = 0; j < r.non_keys.size(); ++j) {
-      if (i != j) {
-        EXPECT_FALSE(r.non_keys[i].Covers(r.non_keys[j]));
-      }
-    }
-    // Maximality: adding any missing attribute to a non-key must yield a
-    // key-side set, i.e., a unique projection (otherwise the non-key was
-    // not maximal).
-    const AttributeSet& nk = r.non_keys[i];
-    for (int a = 0; a < t.num_columns(); ++a) {
-      if (nk.Test(a)) continue;
-      AttributeSet bigger = nk;
-      bigger.Set(a);
-      EXPECT_TRUE(t.IsUnique(bigger))
-          << "non-key " << nk.ToString() << " is not maximal (add " << a
-          << ")";
-    }
-  }
-}
-
-std::vector<SweepCase> MakeSweep() {
-  std::vector<SweepCase> cases;
-  uint64_t seed = 1;
-  for (int rows : {1, 2, 10, 50, 200, 1000}) {
-    for (int cols : {1, 2, 3, 5, 8}) {
-      for (uint64_t card : {2ull, 4ull, 16ull, 128ull}) {
-        // Skip infeasible combos (cannot build enough distinct rows).
-        long double space = 1;
-        for (int c = 0; c < cols; ++c) space *= static_cast<long double>(card);
-        if (space < rows * 2) continue;
-        for (double theta : {0.0, 1.0}) {
-          cases.push_back({rows, cols, card, theta, false, seed += 13});
-        }
-      }
-    }
-  }
-  // Planted composite keys at various shapes.
-  for (int rows : {100, 500}) {
-    for (int cols : {4, 6, 9}) {
-      cases.push_back({rows, cols, 8, 0.7, true, seed += 17});
-      cases.push_back({rows, cols, 32, 0.3, true, seed += 17});
-    }
-  }
-  return cases;
-}
-
-INSTANTIATE_TEST_SUITE_P(RandomTables, GordianVsBruteForce,
-                         ::testing::ValuesIn(MakeSweep()),
-                         [](const auto& info) { return info.param.Name(); });
-
-// Pruning/order ablation on a fixed interesting table: every configuration
-// must produce identical results (invariants 2-3).
-class GordianConfigs : public ::testing::Test {
- protected:
-  static Table MakeCorrelatedTable() {
-    SyntheticSpec spec = UniformSpec(6, 300, 12, 0.8, 99);
-    spec.columns[1].correlated_with = 0;
-    spec.columns[1].correlation_noise = 0.05;
-    spec.columns[3].correlated_with = 2;
-    spec.columns[3].correlation_noise = 0.0;  // exact FD
-    spec.columns[0].cardinality = 64;
-    spec.columns[2].cardinality = 64;
-    Table t;
-    Status s = GenerateSynthetic(spec, &t);
-    EXPECT_TRUE(s.ok()) << s.ToString();
-    return t;
-  }
-};
-
-TEST_F(GordianConfigs, AllPruningAndOrderCombosAgreeWithOracle) {
-  Table t = MakeCorrelatedTable();
-  const auto oracle = Sorted(BruteForceAll(t).keys);
-
-  for (auto order : {GordianOptions::AttributeOrder::kSchema,
-                     GordianOptions::AttributeOrder::kCardinalityDesc,
-                     GordianOptions::AttributeOrder::kCardinalityAsc,
-                     GordianOptions::AttributeOrder::kRandom}) {
-    for (bool singleton : {false, true}) {
-      for (bool futility : {false, true}) {
-        for (bool single_entity : {false, true}) {
-          for (auto build : {GordianOptions::TreeBuild::kSorted,
-                             GordianOptions::TreeBuild::kInsertion}) {
-            GordianOptions o;
-            o.attribute_order = order;
-            o.order_seed = 123;
-            o.singleton_pruning = singleton;
-            o.futility_pruning = futility;
-            o.single_entity_pruning = single_entity;
-            o.tree_build = build;
-            EXPECT_EQ(Sorted(FindKeys(t, o).KeySets()), oracle)
-                << "order=" << static_cast<int>(order)
-                << " singleton=" << singleton << " futility=" << futility
-                << " single_entity=" << single_entity;
-          }
-        }
-      }
-    }
-  }
-}
-
-TEST_F(GordianConfigs, RandomOrderSeedsAgree) {
-  Table t = MakeCorrelatedTable();
-  const auto expected = Sorted(FindKeys(t).KeySets());
-  for (uint64_t seed = 0; seed < 8; ++seed) {
-    GordianOptions o;
-    o.attribute_order = GordianOptions::AttributeOrder::kRandom;
-    o.order_seed = seed;
-    EXPECT_EQ(Sorted(FindKeys(t, o).KeySets()), expected) << "seed " << seed;
-  }
-}
-
-// Edge cases.
 TEST(GordianEdge, SingleRowTableEverySingletonIsKey) {
   TableBuilder b(Schema(std::vector<std::string>{"a", "b", "c"}));
   b.AddRow({Value(int64_t{1}), Value("x"), Value(2.0)});

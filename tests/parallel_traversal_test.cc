@@ -1,8 +1,8 @@
-// Property suite for the parallel slice traversal (docs/parallel.md): on
-// randomized datagen tables, FindKeys with traversal_threads in {1, 2, 8}
-// must produce byte-identical reports to the serial traversal — same keys,
-// same strengths, same canonically ordered non-keys — and budget trips and
-// cancellation must abort cleanly in both modes.
+// The parallel slice traversal (docs/parallel.md) on the shapes the
+// differential harness does not draw: degenerate tables that fall back to
+// serial, budget trips and cancellation in every mode, and the parallel
+// stats counters. Byte-identical reports at 1, 2 and 8 threads across random
+// tables are checked by differential_test.
 
 #include <gtest/gtest.h>
 
@@ -35,14 +35,6 @@ struct ParallelCase {
   bool plant_pair_key;
   bool correlate;
   uint64_t seed;
-
-  std::string Name() const {
-    return "r" + std::to_string(rows) + "_c" + std::to_string(cols) + "_k" +
-           std::to_string(cardinality) + "_t" +
-           std::to_string(static_cast<int>(theta * 10)) +
-           (plant_pair_key ? "_planted" : "") + (correlate ? "_corr" : "") +
-           "_s" + std::to_string(seed);
-  }
 };
 
 Table MakeTable(const ParallelCase& c) {
@@ -93,62 +85,6 @@ void ExpectIdenticalResults(const Table& t, const KeyDiscoveryResult& serial,
       << context;
   EXPECT_EQ(FormatResult(t, serial), FormatResult(t, parallel)) << context;
 }
-
-class ParallelVsSerial : public ::testing::TestWithParam<ParallelCase> {};
-
-TEST_P(ParallelVsSerial, ReportsAreByteIdentical) {
-  Table t = MakeTable(GetParam());
-  KeyDiscoveryResult serial = FindKeys(t, ForcedSerial());
-  EXPECT_EQ(serial.stats.traversal_threads_used, 0);
-  for (int threads : kThreadCounts) {
-    GordianOptions o;
-    o.traversal_threads = threads;
-    KeyDiscoveryResult parallel = FindKeys(t, o);
-    ExpectIdenticalResults(t, serial, parallel,
-                           "threads=" + std::to_string(threads));
-  }
-}
-
-TEST_P(ParallelVsSerial, AgreesUnderEveryAttributeOrder) {
-  Table t = MakeTable(GetParam());
-  for (auto order : {GordianOptions::AttributeOrder::kSchema,
-                     GordianOptions::AttributeOrder::kCardinalityAsc,
-                     GordianOptions::AttributeOrder::kRandom}) {
-    GordianOptions serial_opts = ForcedSerial();
-    serial_opts.attribute_order = order;
-    serial_opts.order_seed = 7;
-    KeyDiscoveryResult serial = FindKeys(t, serial_opts);
-    GordianOptions par_opts = serial_opts;
-    par_opts.traversal_threads = 8;
-    KeyDiscoveryResult parallel = FindKeys(t, par_opts);
-    ExpectIdenticalResults(t, serial, parallel,
-                           "order=" + std::to_string(static_cast<int>(order)));
-  }
-}
-
-std::vector<ParallelCase> MakeSweep() {
-  std::vector<ParallelCase> cases;
-  uint64_t seed = 3;
-  for (int rows : {2, 25, 200, 1000}) {
-    for (int cols : {2, 4, 7}) {
-      for (uint64_t card : {4ull, 64ull}) {
-        long double space = 1;
-        for (int c = 0; c < cols; ++c) space *= static_cast<long double>(card);
-        if (space < rows * 2) continue;
-        cases.push_back({rows, cols, card, 0.0, false, false, seed += 11});
-        cases.push_back({rows, cols, card, 0.9, false, false, seed += 11});
-      }
-    }
-  }
-  cases.push_back({400, 6, 16, 0.5, true, false, 1001});
-  cases.push_back({400, 6, 16, 0.5, false, true, 1002});
-  cases.push_back({800, 8, 8, 0.3, true, true, 1003});
-  return cases;
-}
-
-INSTANTIATE_TEST_SUITE_P(RandomTables, ParallelVsSerial,
-                         ::testing::ValuesIn(MakeSweep()),
-                         [](const auto& info) { return info.param.Name(); });
 
 // --- degenerate shapes (serial fallback paths) ----------------------------
 

@@ -273,22 +273,31 @@ NullFkFixture MakeNullFkFixture(bool dangling) {
   return f;
 }
 
+// The orders.cust_ref -> customers.cust_id unit, verified by the production
+// path or carved out of the reference path's full result.
 std::vector<ForeignKeyCandidate> VerifyWithPath(const NullFkFixture& f,
-                                                bool dictionary_first,
+                                                bool reference,
                                                 double min_coverage) {
   ForeignKeyOptions options;
-  options.dictionary_first = dictionary_first;
   options.min_distinct_values = 10;
   options.min_coverage = min_coverage;
-  return VerifyForeignKeysAgainstKey(f.tables, /*referencing_table=*/1,
-                                     /*referenced_table=*/0, AttributeSet{0},
-                                     options);
+  if (!reference) {
+    return VerifyForeignKeysAgainstKey(f.tables, /*referencing_table=*/1,
+                                       /*referenced_table=*/0,
+                                       AttributeSet{0}, options);
+  }
+  std::vector<ForeignKeyCandidate> fks =
+      ReferenceDiscoverForeignKeys(f.tables, options);
+  std::erase_if(fks, [](const ForeignKeyCandidate& fk) {
+    return fk.referencing_table != 1 || fk.referenced_table != 0;
+  });
+  return fks;
 }
 
 TEST(ForeignKeyNullSemantics, NullTuplesExcludedFromDenominator) {
   NullFkFixture f = MakeNullFkFixture(/*dangling=*/false);
-  for (bool dict : {true, false}) {
-    std::vector<ForeignKeyCandidate> fks = VerifyWithPath(f, dict, 1.0);
+  for (bool reference : {false, true}) {
+    std::vector<ForeignKeyCandidate> fks = VerifyWithPath(f, reference, 1.0);
     bool found = false;
     for (const ForeignKeyCandidate& fk : fks) {
       if (fk.foreign_key_columns == std::vector<int>{1}) {
@@ -299,14 +308,14 @@ TEST(ForeignKeyNullSemantics, NullTuplesExcludedFromDenominator) {
         EXPECT_EQ(fk.distinct_fk_tuples, 40);
       }
     }
-    EXPECT_TRUE(found) << (dict ? "dictionary-first" : "legacy");
+    EXPECT_TRUE(found) << (reference ? "reference" : "dictionary-first");
   }
 }
 
 TEST(ForeignKeyNullSemantics, DanglingValueStillCountsBothPaths) {
   NullFkFixture f = MakeNullFkFixture(/*dangling=*/true);
-  for (bool dict : {true, false}) {
-    std::vector<ForeignKeyCandidate> fks = VerifyWithPath(f, dict, 0.5);
+  for (bool reference : {false, true}) {
+    std::vector<ForeignKeyCandidate> fks = VerifyWithPath(f, reference, 0.5);
     bool found = false;
     for (const ForeignKeyCandidate& fk : fks) {
       if (fk.foreign_key_columns == std::vector<int>{1}) {
@@ -316,7 +325,7 @@ TEST(ForeignKeyNullSemantics, DanglingValueStillCountsBothPaths) {
         EXPECT_EQ(fk.distinct_fk_tuples, 41);
       }
     }
-    EXPECT_TRUE(found) << (dict ? "dictionary-first" : "legacy");
+    EXPECT_TRUE(found) << (reference ? "reference" : "dictionary-first");
   }
 }
 

@@ -1,8 +1,9 @@
-// Spilled-vs-resident equivalence: a table whose columns live in GRDL
-// files must be observationally identical to the same table fully in
-// memory — same fingerprint, same distinct counts, same samples and
-// projections, and byte-identical profiling reports. Also covers the
-// TableArtifactStore round trip and the service wiring.
+// Spilled-vs-resident wiring: each ingest path that can spill (CSV reader,
+// row-at-a-time builder, streaming profiler, artifact store, service jobs)
+// yields a table with the resident table's fingerprint and report, plus the
+// memory accounting of mapped columns and the artifact store's crash
+// safety. Random tables under the spill budget are covered by
+// differential_test.
 
 #include <gtest/gtest.h>
 
@@ -79,56 +80,19 @@ SpillPolicy Policy(const std::string& dir, int64_t budget) {
   return spill;
 }
 
-// The core oracle, fuzzed over seeds x budgets: every observable behavior
-// of a spilled table matches the resident one.
-TEST(SpillEquivalence, CsvIngestMatchesResidentAcrossBudgets) {
-  const std::string dir = TestDir("fuzz");
-  for (uint64_t seed : {1u, 2u, 3u}) {
-    const std::string csv = MakeCsv(dir, 3000, seed);
-    Table resident;
-    ASSERT_TRUE(ReadCsv(csv, CsvOptions{}, &resident).ok());
-    const std::string want_report = CanonicalReport(resident);
-    const uint64_t want_fp = TableFingerprint(resident);
-
-    // 1 KB budget spills every column; 64 KB a subset; 1 GB none.
-    for (int64_t budget : {int64_t{1} << 10, int64_t{64} << 10,
-                           int64_t{1} << 30}) {
-      Table spilled;
-      ASSERT_TRUE(
-          ReadCsv(csv, CsvOptions{}, Policy(dir, budget), &spilled).ok());
-      if (budget == (int64_t{1} << 10)) {
-        EXPECT_EQ(spilled.spilled_column_count(), spilled.num_columns());
-      } else if (budget == (int64_t{1} << 30)) {
-        EXPECT_EQ(spilled.spilled_column_count(), 0);
-      }
-
-      EXPECT_EQ(TableFingerprint(spilled), want_fp) << "budget " << budget;
-      EXPECT_EQ(CanonicalReport(spilled), want_report) << "budget " << budget;
-
-      // The full distinct-count family over assorted projections.
-      for (AttributeSet attrs :
-           {AttributeSet{0}, AttributeSet{1}, AttributeSet{1, 2},
-            AttributeSet{0, 3}, AttributeSet{1, 2, 3},
-            AttributeSet{0, 1, 2, 3}}) {
-        EXPECT_EQ(spilled.DistinctCount(attrs), resident.DistinctCount(attrs));
-        EXPECT_EQ(spilled.DistinctCountFast(attrs),
-                  resident.DistinctCountFast(attrs));
-        EXPECT_EQ(spilled.IsUnique(attrs), resident.IsUnique(attrs));
-      }
-
-      // Views over a spilled table: same rows, same codes, no copy of the
-      // underlying storage.
-      Table sample_r = resident.SampleRows(500, 9);
-      Table sample_s = spilled.SampleRows(500, 9);
-      EXPECT_EQ(TableFingerprint(sample_s), TableFingerprint(sample_r));
-      Table sel_r = resident.SelectColumns({3, 1});
-      Table sel_s = spilled.SelectColumns({3, 1});
-      EXPECT_EQ(TableFingerprint(sel_s), TableFingerprint(sel_r));
-      EXPECT_EQ(sel_s.spilled_column_count(), spilled.spilled_column_count() > 0
-                                                  ? sel_s.num_columns()
-                                                  : 0);
-    }
-  }
+// The CSV reader's spill overload: under a 1 KB budget every column goes
+// to disk, and the table still fingerprints and profiles like the resident
+// one. (Distinct counts, sample and projection views, and reports under
+// partial spills are checked across random tables by differential_test.)
+TEST(SpillEquivalence, CsvIngestSpillsIdentically) {
+  const std::string dir = TestDir("csv");
+  const std::string csv = MakeCsv(dir, 3000, 1);
+  Table resident, spilled;
+  ASSERT_TRUE(ReadCsv(csv, CsvOptions{}, &resident).ok());
+  ASSERT_TRUE(ReadCsv(csv, CsvOptions{}, Policy(dir, 1 << 10), &spilled).ok());
+  EXPECT_EQ(spilled.spilled_column_count(), spilled.num_columns());
+  EXPECT_EQ(TableFingerprint(spilled), TableFingerprint(resident));
+  EXPECT_EQ(CanonicalReport(spilled), CanonicalReport(resident));
 }
 
 TEST(SpillEquivalence, RowAtATimeIngestSpillsIdentically) {

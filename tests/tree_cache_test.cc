@@ -270,6 +270,36 @@ TEST(TreeCacheTest, DuplicateEntityTreeHitRederivesNoKeys) {
   EXPECT_EQ(FormatResult(t, baseline), FormatResult(t, warm));
 }
 
+TEST(TreeCacheTest, NullProjectionRunNeverReportsAHit) {
+  // The cache key carries no null semantics, so a kExcludeNullableColumns
+  // run finds the whole-table tree a kNullEqualsNull run cached; it profiles
+  // a projection with its own tree, so it must neither lease nor count it.
+  TableBuilder b(Schema(std::vector<std::string>{"id", "maybe", "v"}));
+  for (int64_t i = 0; i < 200; ++i) {
+    b.AddRow({Value(i), i % 7 == 0 ? Value::Null() : Value(i % 13),
+              Value(i % 5)});
+  }
+  Table t = b.Build();
+  const uint64_t fp = TableFingerprint(t);
+  TreeArtifactCache cache;
+  bool hit = true;
+  (void)ProfileWithTreeCache(t, GordianOptions{}, fp, &cache, &hit);
+  EXPECT_FALSE(hit);
+
+  GordianOptions exclude;
+  exclude.null_semantics =
+      GordianOptions::NullSemantics::kExcludeNullableColumns;
+  KeyDiscoveryResult r = ProfileWithTreeCache(t, exclude, fp, &cache, &hit);
+  EXPECT_FALSE(hit);
+  EXPECT_EQ(cache.GetStats().hits, 0);
+  EXPECT_EQ(FormatResult(t, r), FormatResult(t, FindKeys(t, exclude)));
+
+  // The whole-table tree is still cached for runs that do traverse it.
+  (void)ProfileWithTreeCache(t, GordianOptions{}, fp, &cache, &hit);
+  EXPECT_TRUE(hit);
+  EXPECT_EQ(cache.GetStats().hits, 1);
+}
+
 TEST(TreeCacheTest, ServiceJobsReuseTreesAcrossRepeatedProfiles) {
   Table t = MakeTable(2000, 13);
   GordianOptions ref;
