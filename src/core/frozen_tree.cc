@@ -133,6 +133,44 @@ const char* ActiveKernel() { return HaveAvx2() ? "avx2" : "scalar"; }
 
 }  // namespace frozen_simd
 
+namespace {
+
+// True iff the level's codes are exactly [0, max_code] (vacuously for an
+// empty level). By pigeonhole that needs max_code < num_cells, and then a
+// presence table of max_code + 1 entries decides it.
+bool CodesAreDense(const FrozenTree::Level& lv) {
+  if (lv.num_cells() == 0) return true;
+  if (lv.max_code >= lv.num_cells()) return false;
+  std::vector<uint8_t> seen(static_cast<size_t>(lv.max_code) + 1, 0);
+  size_t distinct = 0;
+  for (uint32_t c : lv.code) {
+    distinct += seen[c] == 0;
+    seen[c] = 1;
+  }
+  return distinct == seen.size();
+}
+
+// Renumbers the level's codes to their rank among the codes it holds. Ranks
+// preserve code order, so every span stays sorted and every merge emits
+// cells in the order the dictionary codes would have given. A full-table
+// build is dense already, since every dictionary value occurs in some row;
+// samples and streaming reservoirs keep their source dictionaries, so most
+// often they are not.
+void DensifyCodes(FrozenTree::Level* lv) {
+  if (CodesAreDense(*lv)) return;
+  std::vector<uint32_t> present(lv->code);
+  std::sort(present.begin(), present.end());
+  present.erase(std::unique(present.begin(), present.end()), present.end());
+  for (uint32_t& c : lv->code) {
+    c = static_cast<uint32_t>(
+        std::lower_bound(present.begin(), present.end(), c) -
+        present.begin());
+  }
+  lv->max_code = static_cast<uint32_t>(present.size() - 1);
+}
+
+}  // namespace
+
 std::unique_ptr<FrozenTree> FrozenTree::Freeze(const PrefixTree& tree) {
   std::unique_ptr<FrozenTree> out(new FrozenTree());
   out->attr_order_ = tree.attr_order();
@@ -171,6 +209,8 @@ std::unique_ptr<FrozenTree> FrozenTree::Freeze(const PrefixTree& tree) {
       }
       lv.cell_begin.push_back(static_cast<uint32_t>(lv.code.size()));
     }
+    DensifyCodes(&lv);
+    assert(CodesAreDense(lv));
     lv.ref.assign(cur.size(), 1);
     out->node_count_ += static_cast<int64_t>(cur.size());
     out->cell_count_ += static_cast<int64_t>(cells);
@@ -468,23 +508,10 @@ FrozenNonKeyFinder::NodeRef FrozenNonKeyFinder::MergeChildren(NodeRef node,
       return child;
     }
     if (e - b == 2) return MergePairFrozen(level + 1, b, b + 1);
-    const FrozenTree::Level& clv = tree_.level(level + 1);
-    if (static_cast<size_t>(clv.max_code) <= 4 * clv.num_cells() + 1024) {
-      return MergeFrozenRange(level + 1, b, e, 0);
-    }
+    return MergeFrozenRange(level + 1, b, e, 0);
   }
   std::vector<NodeRef>& buf = child_buf_[static_cast<size_t>(level)];
   buf.clear();
-  if (IsFrozen(node)) {
-    const FrozenTree::Level& lv = tree_.level(level);
-    const size_t idx = static_cast<size_t>(FrozenIndexOf(node));
-    const size_t b = lv.cell_begin[idx], e = lv.cell_begin[idx + 1];
-    buf.reserve(e - b);
-    for (size_t g = b; g < e; ++g) buf.push_back(MakeFrozen(level + 1, g));
-    // MergeRefs already ran its bookkeeping above; go straight to the
-    // sparse-domain sort union.
-    return MergeSorted(buf.data(), buf.size(), level + 1, 0);
-  }
   const PrefixTree::Node* n = AsNode(node);
   buf.reserve(n->cells.size());
   for (const PrefixTree::Cell& cell : n->cells) {
@@ -508,7 +535,7 @@ FrozenNonKeyFinder::NodeRef FrozenNonKeyFinder::MergeRefs(
     return MergePairFrozen(level, FrozenIndexOf(inputs[0]),
                            FrozenIndexOf(inputs[1]));
   }
-  return MergeGeneral(inputs, n, level, depth);
+  return MergeDirect(inputs, n, level, depth);
 }
 
 // The branch-light fast path: a 2-way union of two frozen spans. Distinct
@@ -587,29 +614,16 @@ FrozenNonKeyFinder::NodeRef FrozenNonKeyFinder::MergePairFrozen(int level,
   return FromNode(out);
 }
 
-FrozenNonKeyFinder::NodeRef FrozenNonKeyFinder::MergeGeneral(
-    const NodeRef* inputs, size_t n, int level, size_t depth) {
-  // Every code an n-way merge at `level` can see is a frozen code of that
-  // level (merge outputs only union them), so level(level).max_code bounds
-  // the whole domain. Dictionary codes are dense, which keeps the
-  // code-indexed tables proportional to the level itself; pathologically
-  // sparse domains fall back to the sort-based union.
-  const FrozenTree::Level& lv = tree_.level(level);
-  if (static_cast<size_t>(lv.max_code) <= 4 * lv.num_cells() + 1024) {
-    return MergeDirect(inputs, n, level, depth);
-  }
-  return MergeSorted(inputs, n, level, depth);
-}
-
-// Comparison-free n-way union: bucket every input cell by dictionary code
-// (counts accumulate in place), then scatter children into per-code runs.
-// O(cells + distinct log distinct) versus the sort path's
-// O(cells log cells) — and when the code table is small relative to the
-// input (the dense mode, typical at the low-cardinality levels where merges
-// concentrate) the distinct-code sort disappears too and the whole union is
-// linear. Counter discipline is identical to MergeSorted: one node per
-// union, one merges_performed bump per output cell (the would-be MergeRefs
-// call, 1-input shares included), and runs keep gather order.
+// The n-way union of Algorithm 3, comparison-free: bucket every input cell
+// by code (counts accumulate in place), then scatter children into per-code
+// runs. Freeze gives every level a dense code domain, so the code-indexed
+// tables never outgrow the level's cell count. When the table is small
+// relative to the input (the dense mode, typical at the low-cardinality
+// levels where merges concentrate) the union walks the table and is linear;
+// otherwise it sorts only the distinct codes it touched. Counter discipline
+// matches NonKeyFinder's MergeNodes: one node per union, one
+// merges_performed bump per output cell (the would-be MergeRefs call,
+// 1-input shares included), and runs keep gather order.
 template <typename ForEachCell, typename ForEachChild>
 FrozenNonKeyFinder::NodeRef FrozenNonKeyFinder::MergeBucketed(
     size_t total_cells, int level, size_t depth,
@@ -774,87 +788,6 @@ FrozenNonKeyFinder::NodeRef FrozenNonKeyFinder::MergeFrozenRange(
     for (size_t g = b; g < e; ++g) fn(code[g], MakeFrozen(level + 1, g));
   };
   return MergeBucketed(e - b, level, depth, for_each_cell, for_each_child);
-}
-
-FrozenNonKeyFinder::NodeRef FrozenNonKeyFinder::MergeSorted(
-    const NodeRef* inputs, size_t n, int level, size_t depth) {
-  const bool leaf = (level == depth_ - 1);
-  MergeLevelScratch& sc = ScratchAt(depth);
-  sc.keys.clear();
-  sc.counts.clear();
-  sc.children.clear();
-
-  size_t total_cells = 0;
-  const FrozenTree::Level& lv = tree_.level(level);
-  for (size_t t = 0; t < n; ++t) {
-    if (IsFrozen(inputs[t])) {
-      const size_t idx = static_cast<size_t>(FrozenIndexOf(inputs[t]));
-      total_cells += lv.cell_begin[idx + 1] - lv.cell_begin[idx];
-    } else {
-      total_cells += AsNode(inputs[t])->cells.size();
-    }
-  }
-  assert(total_cells < UINT32_MAX);
-  sc.keys.reserve(total_cells);
-  sc.counts.reserve(total_cells);
-  if (!leaf) sc.children.reserve(total_cells);
-
-  // Gather every input cell as a packed (code, gather-index) sort key with
-  // parallel count/child arrays — the SoA counterpart of MergeNodes's
-  // pointer gather.
-  uint32_t gi = 0;
-  for (size_t t = 0; t < n; ++t) {
-    if (IsFrozen(inputs[t])) {
-      assert(FrozenLevelOf(inputs[t]) == level);
-      const size_t idx = static_cast<size_t>(FrozenIndexOf(inputs[t]));
-      const size_t b = lv.cell_begin[idx], e = lv.cell_begin[idx + 1];
-      for (size_t g = b; g < e; ++g) {
-        sc.keys.push_back((static_cast<uint64_t>(lv.code[g]) << 32) | gi++);
-        sc.counts.push_back(lv.count[g]);
-        if (!leaf) sc.children.push_back(MakeFrozen(level + 1, g));
-      }
-    } else {
-      const PrefixTree::Node* in = AsNode(inputs[t]);
-      for (const PrefixTree::Cell& cell : in->cells) {
-        sc.keys.push_back((static_cast<uint64_t>(cell.code) << 32) | gi++);
-        sc.counts.push_back(cell.count);
-        if (!leaf) sc.children.push_back(FromChild(cell.child));
-      }
-    }
-  }
-  std::sort(sc.keys.begin(), sc.keys.end());
-
-  size_t distinct = 0;
-  for (size_t i = 0; i < sc.keys.size(); ++i) {
-    if (i == 0 || (sc.keys[i] >> 32) != (sc.keys[i - 1] >> 32)) ++distinct;
-  }
-  PrefixTree::Node* out = merge_pool_->NewNode(leaf);
-  if (stats_ != nullptr) ++stats_->merge_nodes_created;
-  out->cells.reserve(distinct);
-
-  size_t i = 0;
-  while (i < sc.keys.size()) {
-    const uint32_t c = static_cast<uint32_t>(sc.keys[i] >> 32);
-    PrefixTree::Cell cell;
-    cell.code = c;
-    cell.count = 0;
-    cell.child = nullptr;
-    sc.run.clear();
-    for (; i < sc.keys.size() && (sc.keys[i] >> 32) == c; ++i) {
-      const uint32_t src = static_cast<uint32_t>(sc.keys[i]);
-      cell.count += sc.counts[src];
-      if (!leaf) sc.run.push_back(sc.children[src]);
-    }
-    if (!leaf) {
-      cell.child =
-          ToChild(MergeRefs(sc.run.data(), sc.run.size(), level + 1,
-                            depth + 1));
-    }
-    out->cells.push_back(cell);
-    out->entity_total += cell.count;
-  }
-  merge_pool_->SyncCellBytes(out);
-  return FromNode(out);
 }
 
 void FrozenNonKeyFinder::AddRefRef(NodeRef r) {

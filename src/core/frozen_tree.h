@@ -94,10 +94,12 @@ class FrozenTree {
     // Per node, starts at 1 (the base tree's own reference); mutated by the
     // traversal's merge sharing and restored by its unwind.
     std::vector<int32_t> ref;
-    // Largest dictionary code at this level (0 when empty). Merge outputs
-    // only ever union frozen codes, so this bounds the code domain of every
-    // merge at this level — what lets MergeDirect bucket by code instead of
-    // sorting.
+    // Largest code at this level (0 when empty). Freeze renumbers codes to
+    // their rank among the level's codes, so they are exactly
+    // [0, max_code] and max_code + 1 is the level's distinct-code count,
+    // never more than num_cells(). Merge outputs only ever union frozen
+    // codes, so this bounds the code domain of every merge at this level —
+    // what lets MergeBucketed index its tables by code.
     uint32_t max_code = 0;
 
     size_t num_nodes() const { return entity_total.size(); }
@@ -105,8 +107,10 @@ class FrozenTree {
   };
 
   // Flattens `tree`, which must be freshly built or fully unwound (every
-  // ref_count 1). The pointer tree is not consumed: it remains the
-  // construction and merge-intermediate representation.
+  // ref_count 1), renumbering each level's dictionary codes to their
+  // order-preserving rank (a no-op check when the level is already dense).
+  // The pointer tree is not consumed: it remains the construction and
+  // merge-intermediate representation.
   static std::unique_ptr<FrozenTree> Freeze(const PrefixTree& tree);
 
   int num_levels() const { return static_cast<int>(attr_order_.size()); }
@@ -156,8 +160,9 @@ class FrozenTree {
 // the order shown in the paper's Figure 9, except where pruning applies.
 //
 // Visit runs over contiguous code spans, the leaf duplicate test is a SIMD
-// scan, and the 2-way merge (the dominant shape inside merge recursions) is
-// a branch-light galloping span union. Merge outputs are ordinary NodePool
+// scan, the 2-way merge of frozen nodes (the dominant shape inside merge
+// recursions) is a branch-light galloping span union, and every other merge
+// is one code-bucketed n-way union. Merge outputs are ordinary NodePool
 // nodes whose Cell::child fields hold either a pool node or a tagged
 // reference to a frozen node (bit 0 set — real node pointers are always
 // even), so merge intermediates share untouched frozen subtrees exactly as
@@ -280,16 +285,13 @@ class FrozenNonKeyFinder {
   }
 
   // Per-recursion-depth merge scratch (the frozen counterpart of
-  // MergeScratch). MergeDirect buckets through the code-indexed tables
-  // (code_mult/code_acc/code_pos, kept all-zero between merges); the
-  // sort-based fallback uses the packed (code << 32 | gather-index) keys.
-  // A deque so deeper merges growing the table never invalidate the level a
-  // shallower merge still references.
+  // MergeScratch) for the n-way union, MergeBucketed: code-indexed tables
+  // (code_mult/code_acc/code_pos, kept all-zero between merges) sized to
+  // the merged level's max_code + 1, which Freeze bounds by that level's
+  // cell count; the touched codes of a sparse merge; and the per-code child
+  // runs. A deque so deeper merges growing the table never invalidate the
+  // level a shallower merge still references.
   struct MergeLevelScratch {
-    std::vector<uint64_t> keys;
-    std::vector<int64_t> counts;
-    std::vector<NodeRef> children;
-    std::vector<NodeRef> run;
     std::vector<uint32_t> distinct;
     std::vector<int32_t> code_mult;
     std::vector<int64_t> code_acc;
@@ -305,11 +307,7 @@ class FrozenNonKeyFinder {
   // Algorithm 3 over NodeRefs: inputs are same-level nodes at `level`.
   NodeRef MergeRefs(const NodeRef* inputs, size_t n, int level, size_t depth);
   NodeRef MergePairFrozen(int level, uint64_t a, uint64_t b);
-  NodeRef MergeGeneral(const NodeRef* inputs, size_t n, int level,
-                       size_t depth);
   NodeRef MergeDirect(const NodeRef* inputs, size_t n, int level,
-                      size_t depth);
-  NodeRef MergeSorted(const NodeRef* inputs, size_t n, int level,
                       size_t depth);
   // MergeRefs specialized for a contiguous run of frozen sibling nodes
   // [node_lo, node_hi) at `level` — what MergeChildren of a frozen node
@@ -348,9 +346,10 @@ class FrozenNonKeyFinder {
   AttributeSet cur_non_key_;
   std::vector<AttributeSet> suffix_attrs_;
 
-  // Gather buffer for MergeChildren, one per tree level (Visit recursion
-  // holds level l's buffer across the merge call, which gathers at deeper
-  // levels through the per-depth scratch, never this buffer).
+  // Gather buffer for MergeChildren of a merge-output node, one per tree
+  // level (Visit recursion holds level l's buffer across the merge call,
+  // which gathers at deeper levels through the per-depth scratch, never
+  // this buffer).
   std::vector<std::vector<NodeRef>> child_buf_;
   std::deque<MergeLevelScratch> scratch_;
 

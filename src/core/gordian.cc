@@ -35,8 +35,17 @@ VerificationReport VerifyResult(const Table& table,
   };
 
   if (result.no_keys) {
-    if (table.IsUnique(AttributeSet::FirstN(table.num_columns()))) {
-      problem("result claims no keys exist, but rows are distinct");
+    // The reported non-key is the column set holding a repeated entity: all
+    // columns, or only the NULL-free ones when nullable columns are barred.
+    std::vector<AttributeSet> duplicated = result.non_keys;
+    if (duplicated.empty()) {
+      duplicated.push_back(AttributeSet::FirstN(table.num_columns()));
+    }
+    for (const AttributeSet& nk : duplicated) {
+      if (table.IsUnique(nk)) {
+        problem("result claims no keys exist, but rows are distinct over " +
+                nk.ToString());
+      }
     }
     return report;
   }

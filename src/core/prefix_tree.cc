@@ -73,9 +73,7 @@ PrefixTree& PrefixTree::operator=(PrefixTree&& other) noexcept {
   attr_order_ = std::move(other.attr_order_);
   num_entities_ = other.num_entities_;
   has_duplicate_entities_ = other.has_duplicate_entities_;
-  cell_count_cache_.store(other.cell_count_cache_.load(
-                              std::memory_order_relaxed),
-                          std::memory_order_relaxed);
+  cell_count_ = other.cell_count_;
   return *this;
 }
 
@@ -83,13 +81,23 @@ PrefixTree PrefixTree::Build(const Table& table,
                              const std::vector<int>& attr_order,
                              GordianOptions::TreeBuild mode) {
   assert(!attr_order.empty());
-  PrefixTree tree = mode == GordianOptions::TreeBuild::kInsertion
-                        ? BuildInsertion(table, attr_order)
-                        : BuildSorted(table, attr_order);
-  // Fill the cell-count memo while the tree is still private to this
-  // thread: TreeArtifactCache serves built trees to concurrent readers, and
-  // a first-call lazy write would race against them.
-  tree.cell_count();
+  if (mode == GordianOptions::TreeBuild::kSorted) {
+    return BuildSorted(table, attr_order);
+  }
+  // Algorithm 2 verbatim: a single pass over the entities, descending from
+  // the root and creating cells as needed — AbsorbBatch's insertion loop
+  // over every row of a tree that holds only an empty root. Cells are kept
+  // sorted by code, so the tree is structurally identical to the sorted
+  // build.
+  PrefixTree tree;
+  tree.attr_order_ = attr_order;
+  tree.root_ = tree.pool_->NewNode(attr_order.size() == 1);
+  std::vector<const uint32_t*> level_codes;
+  level_codes.reserve(attr_order.size());
+  for (int c : attr_order) {
+    level_codes.push_back(table.column_codes(c).data());
+  }
+  tree.AbsorbBatch(level_codes, table.num_rows());
   return tree;
 }
 
@@ -100,7 +108,6 @@ int64_t PrefixTree::AbsorbBatch(
   const int depth = num_levels();
   assert(static_cast<int>(level_codes.size()) == depth);
   NodePool& pool = *pool_;
-  int64_t new_cells = 0;
   int64_t r = 0;
   for (; r < num_rows; ++r) {
     // Poll between rows only: a row is either fully inserted or not started,
@@ -126,7 +133,7 @@ int64_t PrefixTree::AbsorbBatch(
             (l + 1 < depth) ? pool.NewNode(l + 1 == depth - 1) : nullptr;
         it = node->cells.insert(it, cell);
         pool.SyncCellBytes(node);
-        ++new_cells;
+        ++cell_count_;
       }
       ++it->count;
       ++node->entity_total;
@@ -137,12 +144,6 @@ int64_t PrefixTree::AbsorbBatch(
       }
     }
     ++num_entities_;
-  }
-  // Keep the memoized cell count exact. A tree that bypassed Build has no
-  // memo (-1); leave it unset so the lazy walk stays the source of truth.
-  if (new_cells > 0 &&
-      cell_count_cache_.load(std::memory_order_relaxed) >= 0) {
-    cell_count_cache_.fetch_add(new_cells, std::memory_order_relaxed);
   }
   return r;
 }
@@ -224,6 +225,7 @@ PrefixTree PrefixTree::BuildSorted(const Table& table,
       }
       node->cells.push_back(cell);
       ++node->entity_total;
+      ++tree.cell_count_;
     }
     // Bump the subtree counts of the reused prefix path.
     for (int l = 0; l < branch; ++l) {
@@ -238,75 +240,7 @@ PrefixTree PrefixTree::BuildSorted(const Table& table,
   return tree;
 }
 
-PrefixTree PrefixTree::BuildInsertion(const Table& table,
-                                      const std::vector<int>& attr_order) {
-  // Algorithm 2 verbatim: a single pass over the entities, descending from
-  // the root and creating cells as needed. Cells are kept sorted by code so
-  // the resulting tree is structurally identical to the sorted build.
-  PrefixTree tree;
-  tree.attr_order_ = attr_order;
-  tree.num_entities_ = table.num_rows();
-  const int depth = static_cast<int>(attr_order.size());
-  NodePool& pool = *tree.pool_;
-  tree.root_ = pool.NewNode(depth == 1);
-
-  std::vector<const uint32_t*> level_codes;
-  level_codes.reserve(attr_order.size());
-  for (int c : attr_order) {
-    level_codes.push_back(table.column_codes(c).data());
-  }
-
-  for (int64_t r = 0; r < table.num_rows(); ++r) {
-    Node* node = tree.root_;
-    for (int l = 0; l < depth; ++l) {
-      uint32_t code = level_codes[l][r];
-      auto it = std::lower_bound(
-          node->cells.begin(), node->cells.end(), code,
-          [](const Cell& c, uint32_t v) { return c.code < v; });
-      if (it == node->cells.end() || it->code != code) {
-        Cell cell;
-        cell.code = code;
-        cell.count = 0;
-        cell.child =
-            (l + 1 < depth) ? pool.NewNode(l + 1 == depth - 1) : nullptr;
-        it = node->cells.insert(it, cell);
-        pool.SyncCellBytes(node);
-      }
-      ++it->count;
-      ++node->entity_total;
-      if (l == depth - 1) {
-        if (it->count > 1) tree.has_duplicate_entities_ = true;
-      } else {
-        node = it->child;
-      }
-    }
-  }
-  return tree;
-}
-
 int64_t PrefixTree::node_count() const { return pool_->live_nodes(); }
-
-int64_t PrefixTree::cell_count() const {
-  const int64_t cached = cell_count_cache_.load(std::memory_order_relaxed);
-  if (cached >= 0) return cached;
-  // Walk the tree; with ref counts all 1 in a freshly built tree this visits
-  // each node once. Build fills the memo eagerly, so this fallback only runs
-  // single-threaded; concurrent callers would compute and publish the same
-  // value through the atomic anyway.
-  int64_t cells = 0;
-  std::vector<const Node*> pending = {root_};
-  while (!pending.empty()) {
-    const Node* n = pending.back();
-    pending.pop_back();
-    if (n == nullptr) continue;
-    cells += static_cast<int64_t>(n->cells.size());
-    if (!n->is_leaf) {
-      for (const Cell& c : n->cells) pending.push_back(c.child);
-    }
-  }
-  cell_count_cache_.store(cells, std::memory_order_relaxed);
-  return cells;
-}
 
 PrefixTree::Node* MergeNodes(PrefixTree::NodePool& pool,
                              const std::vector<PrefixTree::Node*>& to_merge,

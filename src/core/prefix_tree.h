@@ -128,12 +128,12 @@ class PrefixTree {
                           GordianOptions::TreeBuild mode);
 
   // Inserts `num_rows` delta entities into the existing tree (Algorithm 2's
-  // insertion loop replayed against the already-built root). `level_codes`
-  // holds one code pointer per tree level — already permuted by attr_order,
-  // each addressing `num_rows` codes for the delta only. Leaf counts,
-  // per-node entity totals, the duplicate-entity flag, num_entities() and
-  // the memoized cell count are all updated exactly; no other state is
-  // invalidated, so a traversal may run immediately afterwards.
+  // insertion loop, which the kInsertion build runs over a bare root).
+  // `level_codes` holds one code pointer per tree level — already permuted
+  // by attr_order, each addressing `num_rows` codes for the delta only. Leaf
+  // counts, per-node entity totals, the duplicate-entity flag,
+  // num_entities() and cell_count() are all updated exactly; no other state
+  // is invalidated, so a traversal may run immediately afterwards.
   //
   // Every node reached must be privately owned (ref_count == 1) — true for
   // any built tree: production traversals run over its frozen copy, and the
@@ -158,25 +158,20 @@ class PrefixTree {
 
   int64_t num_entities() const { return num_entities_; }
   int64_t node_count() const;
-  // Computed eagerly at Build time (the tree's structure is fixed from then
-  // on — traversal only touches reference counts and restores them), so
-  // concurrent readers of a cached tree never race on the memo. The memo is
-  // atomic besides, making even the lazy fallback walk (trees that bypassed
-  // Build) a benign same-value publication rather than a data race.
-  int64_t cell_count() const;
+  // Cells of the tree, counted by both builds and by AbsorbBatch as they
+  // create them.
+  int64_t cell_count() const { return cell_count_; }
 
  private:
   static PrefixTree BuildSorted(const Table& table,
                                 const std::vector<int>& attr_order);
-  static PrefixTree BuildInsertion(const Table& table,
-                                   const std::vector<int>& attr_order);
 
   std::unique_ptr<NodePool> pool_ = std::make_unique<NodePool>();
   Node* root_ = nullptr;
   std::vector<int> attr_order_;
   int64_t num_entities_ = 0;
   bool has_duplicate_entities_ = false;
-  mutable std::atomic<int64_t> cell_count_cache_{-1};
+  int64_t cell_count_ = 0;
 };
 
 // Reusable per-traversal buffers for MergeNodes: one gather/partial pair per

@@ -11,8 +11,7 @@ size_t TreeCacheKeyHash::operator()(const TreeCacheKey& k) const {
   h = Mix64(h ^ k.columns.Hash());
   h = Mix64(h ^ static_cast<uint64_t>(k.sample_rows));
   h = Mix64(h ^ k.sample_seed);
-  h = Mix64(h ^ (static_cast<uint64_t>(k.attribute_order) |
-                 static_cast<uint64_t>(k.tree_build) << 8));
+  h = Mix64(h ^ static_cast<uint64_t>(k.attribute_order));
   h = Mix64(h ^ k.order_seed);
   return static_cast<size_t>(h);
 }
@@ -31,7 +30,6 @@ TreeCacheKey MakeTreeCacheKey(uint64_t fingerprint, int num_columns,
       options.attribute_order == GordianOptions::AttributeOrder::kRandom
           ? options.order_seed
           : 0;
-  key.tree_build = options.tree_build;
   return key;
 }
 

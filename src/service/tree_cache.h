@@ -15,11 +15,11 @@
 namespace gordian {
 
 // Identity of a prefix-tree artifact: the tree is a pure function of the
-// table content (fingerprint), the column subset profiled, the sample spec,
-// the attribute order, and the build mode — change any of these and a
-// different tree results. Jobs that agree on all of them (e.g. the same
-// table re-profiled under different time budgets, priorities, or pruning
-// toggles) can share one tree.
+// table content (fingerprint), the column subset profiled, the sample spec
+// and the attribute order — change any of these and a different tree
+// results. Jobs that agree on all of them (e.g. the same table re-profiled
+// under different time budgets, priorities, pruning toggles or build
+// modes, which freeze to identical arrays) can share one tree.
 struct TreeCacheKey {
   uint64_t fingerprint = 0;
   AttributeSet columns;  // column subset the tree covers (FirstN(d) for all)
@@ -28,13 +28,12 @@ struct TreeCacheKey {
   GordianOptions::AttributeOrder attribute_order =
       GordianOptions::AttributeOrder::kCardinalityDesc;
   uint64_t order_seed = 0;
-  GordianOptions::TreeBuild tree_build = GordianOptions::TreeBuild::kSorted;
 
   friend bool operator==(const TreeCacheKey& a, const TreeCacheKey& b) {
     return a.fingerprint == b.fingerprint && a.columns == b.columns &&
            a.sample_rows == b.sample_rows && a.sample_seed == b.sample_seed &&
            a.attribute_order == b.attribute_order &&
-           a.order_seed == b.order_seed && a.tree_build == b.tree_build;
+           a.order_seed == b.order_seed;
   }
 };
 

@@ -4,6 +4,9 @@
 // append plan from one seed and checks every report against BruteForceAll
 // (Section 4.2) up to kBruteForceWidth columns, Algorithm 1 (every pruning
 // off) above that, and ReferenceFindKeys, counter for counter when serial.
+// Sampled cases (Section 3.9) are checked the same way on their sample; a
+// near-unique column makes the sample's tree levels hold only a few of
+// their dictionary's codes, which FrozenTree::Freeze renumbers.
 // Each schema case checks DiscoverForeignKeys against
 // ReferenceDiscoverForeignKeys, SchemaProfiler at 1 vs 4 threads, and
 // resident vs spilled tables.
@@ -32,9 +35,12 @@
 #include "bruteforce/brute_force.h"
 #include "common/random.h"
 #include "core/foreign_key.h"
+#include "core/frozen_tree.h"
 #include "core/gordian.h"
 #include "core/incremental.h"
 #include "core/non_key_finder.h"
+#include "core/pipeline.h"
+#include "core/prefix_tree.h"
 #include "core/report.h"
 #include "service/profiling_service.h"
 #include "service/schema_profiler.h"
@@ -50,6 +56,7 @@ constexpr int kSchemaCasesPerRound = 4;
 constexpr int kBruteForceWidth = 8;
 constexpr int64_t kSpillBudgetBytes = 1 << 10;
 constexpr int64_t kSpillChunkRows = 512;
+constexpr uint64_t kNearUniqueFactor = 64;
 
 int Rounds() {
   const char* env = std::getenv("GORDIAN_FUZZ_ITERS");
@@ -138,7 +145,8 @@ struct TableCase {
   bool unique_rows = false;
   std::vector<ColumnPlan> columns;
 
-  GordianOptions options;  // pruning, order, tree build, null semantics
+  GordianOptions options;  // pruning, order, tree build, null semantics,
+                           // sample size and seed
 
   // The variant compared against the cold, resident, serial baseline.
   int threads = -1;  // -1 = forced serial
@@ -150,6 +158,10 @@ struct TableCase {
   std::vector<int64_t> batches;
   bool coalesced = false;
   bool warm_start = true;
+
+  // A column drawing uniformly from kNearUniqueFactor * rows values (-1 =
+  // none): almost every row holds its own value.
+  int near_unique = -1;
 
   std::string Describe() const {
     char buf[512];
@@ -179,6 +191,9 @@ struct TableCase {
       out += coalesced ? " coalesced" : " per_batch";
       out += warm_start ? " warm" : " cold_restart";
     }
+    out += " | sample=" + std::to_string(options.sample_rows) +
+           " sample_seed=" + std::to_string(options.sample_seed) +
+           " near_unique=" + std::to_string(near_unique);
     out += " | columns (type/card/null_rate/fd_source~noise):";
     for (const ColumnPlan& p : columns) {
       std::snprintf(buf, sizeof(buf), " %s/%llu/%.3f/%d~%.2f",
@@ -251,6 +266,37 @@ TableCase DrawTableCase(int index) {
     c.coalesced = rng.Bernoulli(0.5);
     c.warm_start = rng.Bernoulli(0.5);
   }
+
+  // Drawn after every other dimension, so each case keeps the parameters
+  // it had before sampling joined the harness — except that a sampled case
+  // with a near-unique column grows to thousands of rows: only then does a
+  // small sample leave most of a level's dictionary codes unused.
+  double sample_fraction = 0;  // 0 = not sampled
+  if (rng.Bernoulli(0.5)) {
+    // 1% to 100% of the rows, log-uniform.
+    sample_fraction = std::pow(100.0, rng.NextDouble()) / 100;
+    c.options.sample_seed = rng.Next();
+  }
+  std::vector<int> free_columns;  // columns drawn from their own Zipf
+  for (int col = 0; col < c.width; ++col) {
+    if (!(c.planted_key && col < 2) && c.columns[col].correlated_with < 0) {
+      free_columns.push_back(col);
+    }
+  }
+  if (!free_columns.empty() && rng.Bernoulli(0.5)) {
+    c.near_unique = free_columns[rng.Uniform(free_columns.size())];
+    // Up to the brute-force width, so the unsampled append oracle stays
+    // cheap.
+    if (sample_fraction > 0 && c.width <= kBruteForceWidth) {
+      c.rows = rng.UniformRange(2048, 4096);
+    }
+    c.columns[c.near_unique].cardinality =
+        kNearUniqueFactor * static_cast<uint64_t>(c.rows);
+  }
+  if (sample_fraction > 0) {
+    c.options.sample_rows = std::max<int64_t>(
+        1, static_cast<int64_t>(sample_fraction * static_cast<double>(c.rows)));
+  }
   return c;
 }
 
@@ -273,8 +319,9 @@ Value RankValue(int type, int64_t rank) {
 class RowSource {
  public:
   explicit RowSource(const TableCase& c) : c_(c), rng_(c.seed ^ 0x5eedULL) {
-    for (const ColumnPlan& p : c.columns) {
-      zipf_.emplace_back(p.cardinality, c.theta);
+    for (int col = 0; col < c.width; ++col) {
+      zipf_.emplace_back(c.columns[col].cardinality,
+                         col == c.near_unique ? 0.0 : c.theta);
     }
   }
 
@@ -348,9 +395,11 @@ std::vector<int> KeptColumns(const Table& t, const GordianOptions& options) {
 // minimal, non-keys genuine, both antichains) plus non-key maximality; then
 // up to kBruteForceWidth columns the keys equal the brute-force
 // comparator's, and wider the canonical report equals Algorithm 1 (every
-// pruning off, serial).
+// pruning off, serial). A sampled report is checked as the exact report of
+// its sample, t.SampleRows(sample_rows, sample_seed); which columns are kept
+// is still decided on the whole table, as the run decides it.
 void CheckAgainstOracle(const Table& t, const GordianOptions& options,
-                        const KeyDiscoveryResult& r) {
+                        KeyDiscoveryResult r) {
   ASSERT_FALSE(r.incomplete);
   if (t.num_columns() > kBruteForceWidth) {
     GordianOptions alg1 = options;
@@ -366,7 +415,16 @@ void CheckAgainstOracle(const Table& t, const GordianOptions& options,
     EXPECT_TRUE(r.keys.empty() && r.non_keys.empty() && !r.no_keys);
     return;
   }
-  const Table proj = t.SelectColumns(kept);
+  const bool sampled =
+      options.sample_rows > 0 && options.sample_rows < t.num_rows();
+  EXPECT_EQ(r.sampled, sampled);
+  if (sampled) {
+    r.sampled = false;
+    for (DiscoveredKey& k : r.keys) k.estimated_strength = 1.0;
+  }
+  const Table proj =
+      (sampled ? t.SampleRows(options.sample_rows, options.sample_seed) : t)
+          .SelectColumns(kept);
   std::vector<int> to_proj(static_cast<size_t>(t.num_columns()), -1);
   for (size_t i = 0; i < kept.size(); ++i) {
     to_proj[kept[i]] = static_cast<int>(i);
@@ -379,7 +437,7 @@ void CheckAgainstOracle(const Table& t, const GordianOptions& options,
     });
     *attrs = out;
   };
-  KeyDiscoveryResult pr = r;
+  KeyDiscoveryResult& pr = r;
   for (DiscoveredKey& k : pr.keys) project(&k.attrs);
   for (AttributeSet& nk : pr.non_keys) project(&nk);
   const VerificationReport verified = VerifyResult(proj, pr);
@@ -433,7 +491,11 @@ void CheckSpilledMatchesResident(const TableCase& c, const Table& resident,
 // and checks every step against the reference on the concatenated table.
 void RunAppendPlan(const TableCase& c, const Schema& schema, const Table& base,
                    RowSource* source, std::vector<RowBatch> history) {
-  GordianOptions options = c.options;
+  // IncrementalProfiler profiles whole tables only: a sampled case appends
+  // unsampled.
+  GordianOptions unsampled = c.options;
+  unsampled.sample_rows = 0;
+  GordianOptions options = unsampled;
   options.traversal_threads = c.threads;
   IncrementalProfiler prof;
   Status begin = IncrementalProfiler::Begin(base, options, &prof);
@@ -463,7 +525,7 @@ void RunAppendPlan(const TableCase& c, const Schema& schema, const Table& base,
     EXPECT_TRUE(prof.current());
     EXPECT_EQ(prof.tree_rows(), concat.num_rows());
     EXPECT_EQ(Canon(concat, prof.report()),
-              Canon(concat, ReferenceFindKeys(concat, c.options)));
+              Canon(concat, ReferenceFindKeys(concat, unsampled)));
 
     // Monotonicity: appended rows only create duplicates, so every prior
     // maximal non-key stays covered.
@@ -477,9 +539,40 @@ void RunAppendPlan(const TableCase& c, const Schema& schema, const Table& base,
     }
     prior = now;
     if (b + 1 == c.batches.size()) {
-      CheckAgainstOracle(concat, c.options, prof.report());
+      CheckAgainstOracle(concat, unsampled, prof.report());
     }
   }
+}
+
+// The kSorted and kInsertion builds of the data a run under `options`
+// profiles (its sample, if any) freeze to identical arrays, which is why
+// TreeCacheKey leaves the build mode out.
+void CheckBuildsFreezeIdentically(const Table& t, GordianOptions options) {
+  options.null_semantics = GordianOptions::NullSemantics::kNullEqualsNull;
+  ProfileContext ctx;
+  ctx.input = &t;
+  ctx.options = options;
+  ASSERT_TRUE(EncodeStage().Run(&ctx).ok());
+  if (ctx.finished) return;  // no columns
+  std::unique_ptr<FrozenTree> frozen[2];
+  int i = 0;
+  for (GordianOptions::TreeBuild mode : {GordianOptions::TreeBuild::kSorted,
+                                         GordianOptions::TreeBuild::kInsertion}) {
+    frozen[i++] =
+        FrozenTree::Freeze(PrefixTree::Build(*ctx.data, ctx.attr_order, mode));
+  }
+  ASSERT_EQ(frozen[0]->num_levels(), frozen[1]->num_levels());
+  for (int l = 0; l < frozen[0]->num_levels(); ++l) {
+    const FrozenTree::Level& a = frozen[0]->level(l);
+    const FrozenTree::Level& b = frozen[1]->level(l);
+    EXPECT_EQ(a.cell_begin, b.cell_begin) << "level " << l;
+    EXPECT_EQ(a.code, b.code) << "level " << l;
+    EXPECT_EQ(a.count, b.count) << "level " << l;
+    EXPECT_EQ(a.entity_total, b.entity_total) << "level " << l;
+    EXPECT_EQ(a.ref, b.ref) << "level " << l;
+    EXPECT_EQ(a.max_code, b.max_code) << "level " << l;
+  }
+  EXPECT_EQ(frozen[0]->ApproxBytes(), frozen[1]->ApproxBytes());
 }
 
 void RunTableCase(const TableCase& c, const SpillDir& spill_dir) {
@@ -505,6 +598,7 @@ void RunTableCase(const TableCase& c, const SpillDir& spill_dir) {
   const size_t kept = KeptColumns(resident, c.options).size();
   EXPECT_TRUE(kept == 0 || base.stats.frozen_tree_bytes > 0);
   CheckAgainstOracle(resident, c.options, base);
+  CheckBuildsFreezeIdentically(resident, c.options);
 
   // The variant: storage x threads x cache state.
   Table spilled;

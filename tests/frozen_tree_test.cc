@@ -9,6 +9,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstdint>
 #include <memory>
@@ -16,6 +17,7 @@
 #include <random>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "core/gordian.h"
@@ -67,12 +69,13 @@ void ExpectSameCounters(const GordianStats& a, const GordianStats& b) {
   EXPECT_EQ(a.final_non_keys, b.final_non_keys);
 }
 
-TEST(FrozenTreeLayoutTest, FreezePreservesStructure) {
-  Table t = MakeTable(2000, 11);
-  std::vector<int> order(static_cast<size_t>(t.num_columns()));
-  std::iota(order.begin(), order.end(), 0);
-  PrefixTree tree =
-      PrefixTree::Build(t, order, GordianOptions::TreeBuild::kSorted);
+// Freezes `tree` and checks the flat layout against it: spans, counts,
+// entity totals and the BFS identity, and per level that the codes are
+// exactly [0, max_code] and that Freeze's renumbering kept the pointer
+// tree's code order. Sets *renumbered to how many pointer-tree levels were
+// not dense, i.e. how many levels Freeze had to renumber.
+void ExpectFreezePreservesStructure(const PrefixTree& tree, int* renumbered) {
+  *renumbered = 0;
   std::unique_ptr<FrozenTree> frozen = FrozenTree::Freeze(tree);
   ASSERT_NE(frozen, nullptr);
 
@@ -88,6 +91,7 @@ TEST(FrozenTreeLayoutTest, FreezePreservesStructure) {
   const int depth = frozen->num_levels();
   EXPECT_EQ(frozen->level(0).num_nodes(), 1u);  // the root
   int64_t total_nodes = 0, total_cells = 0;
+  std::vector<const PrefixTree::Node*> nodes = {tree.root()};
   for (int l = 0; l < depth; ++l) {
     const FrozenTree::Level& lv = frozen->level(l);
     ASSERT_EQ(lv.cell_begin.size(), lv.num_nodes() + 1);
@@ -114,9 +118,79 @@ TEST(FrozenTreeLayoutTest, FreezePreservesStructure) {
     }
     total_nodes += static_cast<int64_t>(lv.num_nodes());
     total_cells += static_cast<int64_t>(lv.num_cells());
+
+    // The pointer tree's cells at this level, in the same BFS order.
+    std::vector<std::pair<uint32_t, uint32_t>> codes;  // (pointer, frozen)
+    std::vector<const PrefixTree::Node*> next;
+    for (const PrefixTree::Node* n : nodes) {
+      for (const PrefixTree::Cell& cell : n->cells) {
+        const size_t g = codes.size();
+        ASSERT_LT(g, lv.num_cells());
+        EXPECT_EQ(cell.count, lv.count[g]);
+        codes.emplace_back(cell.code, lv.code[g]);
+        if (!n->is_leaf) next.push_back(cell.child);
+      }
+    }
+    ASSERT_EQ(codes.size(), lv.num_cells());
+    nodes.swap(next);
+    if (codes.empty()) {
+      EXPECT_EQ(lv.max_code, 0u);
+      continue;
+    }
+
+    // Dense: the frozen codes are exactly [0, max_code].
+    std::vector<bool> seen(static_cast<size_t>(lv.max_code) + 1, false);
+    for (uint32_t c : lv.code) {
+      EXPECT_LE(c, lv.max_code);
+      if (c <= lv.max_code) seen[c] = true;
+    }
+    EXPECT_EQ(std::count(seen.begin(), seen.end(), false), 0)
+        << "level " << l << " has a gap in [0, " << lv.max_code << "]";
+    EXPECT_LE(static_cast<size_t>(lv.max_code) + 1, lv.num_cells());
+
+    // Order-preserving: sorted by pointer code, the frozen codes rise by
+    // exactly one where the pointer code changes and stay put where it
+    // repeats, starting from 0 — i.e. each frozen code is the pointer
+    // code's rank.
+    std::sort(codes.begin(), codes.end());
+    EXPECT_EQ(codes.front().second, 0u);
+    for (size_t i = 1; i < codes.size(); ++i) {
+      const bool same = codes[i].first == codes[i - 1].first;
+      EXPECT_EQ(codes[i].second, codes[i - 1].second + (same ? 0 : 1))
+          << "level " << l << " pointer code " << codes[i].first;
+    }
+    *renumbered += codes.back().first != codes.back().second;
   }
   EXPECT_EQ(total_nodes, frozen->node_count());
   EXPECT_EQ(total_cells, frozen->cell_count());
+}
+
+TEST(FrozenTreeLayoutTest, FreezePreservesStructure) {
+  Table t = MakeTable(2000, 11);
+  std::vector<int> order(static_cast<size_t>(t.num_columns()));
+  std::iota(order.begin(), order.end(), 0);
+  PrefixTree tree =
+      PrefixTree::Build(t, order, GordianOptions::TreeBuild::kSorted);
+  // Every dictionary value of a full table occurs on some path, so its
+  // levels are dense before freezing and Freeze renumbers nothing.
+  int renumbered = -1;
+  ExpectFreezePreservesStructure(tree, &renumbered);
+  EXPECT_EQ(renumbered, 0);
+
+  // A sample keeps its source table's dictionaries: most codes of a
+  // near-unique column are absent from it, so Freeze must renumber.
+  TableBuilder b(Schema(std::vector<std::string>{"id", "grp", "v"}));
+  for (int64_t i = 0; i < 3000; ++i) {
+    b.AddRow({Value(i * 7), Value(i % 5), Value((i * 13) % 97)});
+  }
+  const Table sample = b.Build().SampleRows(200, 7);
+  for (const std::vector<int>& sample_order :
+       {std::vector<int>{0, 1, 2}, std::vector<int>{1, 2, 0}}) {
+    PrefixTree sampled = PrefixTree::Build(
+        sample, sample_order, GordianOptions::TreeBuild::kSorted);
+    ExpectFreezePreservesStructure(sampled, &renumbered);
+    EXPECT_GE(renumbered, 2);
+  }
 }
 
 TEST(FrozenTraversalTest, NonKeyBudgetAbortMatchesPointerBaseline) {
@@ -229,11 +303,9 @@ TEST(FrozenTreeCacheTest, HitServesPrefrozenArtifact) {
   ExpectSameReport(t, first, second);
 }
 
-// Regression for the cell_count data race: the memo used to be a plain
-// mutable int64_t written on first call, racing when TreeArtifactCache
-// served one tree to back-to-back runs probed from several threads. Build
-// now fills the memo eagerly and the fallback publishes through an atomic;
-// under TSan this test is the proof.
+// cell_count() is a plain counter that the builds and AbsorbBatch keep
+// exact, so concurrent reads of a built tree are race-free; under TSan this
+// test is the proof.
 TEST(PrefixTreeTest, ConcurrentCellCountReadsAreRaceFree) {
   Table t = MakeTable(2000, 73);
   std::vector<int> order(static_cast<size_t>(t.num_columns()));

@@ -293,5 +293,28 @@ TEST(VerifyResult, NoKeysClaimIsChecked) {
   EXPECT_FALSE(rep.ok);
 }
 
+// With nullable columns barred, a repeated entity over the NULL-free columns
+// means no key exists even though the NULLs make every full row distinct.
+// The claim is checked against the reported non-key, not the whole table.
+TEST(VerifyResult, NoKeysClaimIsCheckedOverTheReportedNonKey) {
+  TableBuilder b(Schema(std::vector<std::string>{"a", "b", "n"}));
+  b.AddRow({Value(int64_t{1}), Value(int64_t{5}), Value::Null()});
+  b.AddRow({Value(int64_t{1}), Value(int64_t{5}), Value(int64_t{2})});
+  b.AddRow({Value(int64_t{2}), Value(int64_t{6}), Value(int64_t{3})});
+  Table t = b.Build();
+  GordianOptions o;
+  o.null_semantics = GordianOptions::NullSemantics::kExcludeNullableColumns;
+  KeyDiscoveryResult r = FindKeys(t, o);
+  ASSERT_TRUE(r.no_keys);
+  ASSERT_EQ(r.non_keys.size(), 1u);
+  EXPECT_EQ(r.non_keys[0], AttributeSet({0, 1}));
+  VerificationReport rep = VerifyResult(t, r);
+  EXPECT_TRUE(rep.ok) << (rep.problems.empty() ? "" : rep.problems[0]);
+
+  // A no-key claim naming a column set whose rows are distinct is flagged.
+  r.non_keys[0] = AttributeSet({0, 2});
+  EXPECT_FALSE(VerifyResult(t, r).ok);
+}
+
 }  // namespace
 }  // namespace gordian

@@ -50,9 +50,11 @@ TEST(TreeCacheKeyTest, DistinguishesTreeShapingOptions) {
   EXPECT_FALSE(a == MakeTreeCacheKey(2, 5, base));
   EXPECT_FALSE(a == MakeTreeCacheKey(1, 4, base));
 
+  // Both builds freeze to identical arrays (differential_test checks this
+  // on every table case), so the build mode shares one artifact.
   GordianOptions other = base;
   other.tree_build = GordianOptions::TreeBuild::kInsertion;
-  EXPECT_FALSE(a == MakeTreeCacheKey(1, 5, other));
+  EXPECT_EQ(a, MakeTreeCacheKey(1, 5, other));
 
   other = base;
   other.attribute_order = GordianOptions::AttributeOrder::kSchema;
